@@ -1,8 +1,8 @@
 """cProfile the scheduler microbench workbench and dump the hot spots.
 
 Runs the exact pressure workbench of
-``benchmarks/test_scheduler_microbench.py`` (incremental mode, the
-configuration the ``BENCH_scheduler.json`` gate tracks) under cProfile
+``benchmarks/test_scheduler_microbench.py`` (the run the
+``BENCH_scheduler.json`` gate tracks) under cProfile
 and writes the top-30 cumulative-time entries to
 ``benchmarks/output/profile.txt``.  The perf-gate CI job uploads the
 file as an artifact, so the next performance round starts from data
@@ -23,7 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from test_scheduler_microbench import _pressure_workbench, _run_mode  # noqa: E402
+from test_scheduler_microbench import _pressure_workbench, _run_workbench  # noqa: E402
 
 TOP_N = 30
 
@@ -33,18 +33,18 @@ def profile_workbench(output_path: Path) -> str:
     # Warm-up pass: one-time costs (imports, preset construction, analysis
     # cache fills) would otherwise dominate the profile of what is, in the
     # suite drivers, steady-state work.
-    _run_mode(cases, incremental=True)
+    _run_workbench(cases)
 
     profiler = cProfile.Profile()
     profiler.enable()
-    stats = _run_mode(cases, incremental=True)
+    stats = _run_workbench(cases)
     profiler.disable()
 
     buffer = io.StringIO()
     ps = pstats.Stats(profiler, stream=buffer)
     ps.strip_dirs().sort_stats("cumulative").print_stats(TOP_N)
     report = (
-        f"scheduler workbench profile ({len(cases)} cases, incremental mode)\n"
+        f"scheduler workbench profile ({len(cases)} cases)\n"
         f"wall_s={stats['wall_s']:.4f} pressure_checks={stats['pressure_checks']}\n"
         f"top {TOP_N} by cumulative time\n\n" + buffer.getvalue()
     )

@@ -6,10 +6,11 @@ configurations -- useful for catching performance regressions in the
 scheduler's inner loops (reservation table, lifetime analysis,
 communication insertion).
 
-``test_incremental_pressure_tracking`` additionally verifies the
-engine's incremental :class:`~repro.core.pressure.PressureTracker`
-against the legacy full-sweep mode (same schedules, counter-verified
-sweep reduction, measured wall-clock win) and emits the machine-readable
+``test_pressure_checks_need_no_full_sweeps`` additionally verifies that
+the engine's incremental
+:class:`~repro.core.arraycore.ArrayPressureTracker` answers every
+pressure check of a pressured workbench without a single full-graph
+MaxLive sweep, and emits the machine-readable
 ``benchmarks/output/BENCH_scheduler.json`` artifact that tracks the
 scheduler's performance trajectory across PRs.
 """
@@ -21,17 +22,16 @@ import pytest
 
 from repro.core import MirsHC
 from repro.core.analysis_cache import AnalysisCache
-from repro.core.lifetimes import SWEEP_COUNTERS
 from repro.hwmodel import scaled_machine
 from repro.machine import baseline_machine, config_by_name
 from repro.workloads import build_kernel, perfect_club_like_suite
 from repro.ddg import unroll
 
 
-def _schedule(config_name, loop, *, analysis_cache=None, **engine_kwargs):
+def _schedule(config_name, loop, *, analysis_cache=None):
     rf = config_by_name(config_name)
     machine, _ = scaled_machine(baseline_machine(), rf)
-    engine = MirsHC(machine, rf, analysis_cache=analysis_cache, **engine_kwargs)
+    engine = MirsHC(machine, rf, analysis_cache=analysis_cache)
     result = engine.schedule_loop(loop)
     assert result.success
     return result
@@ -65,7 +65,7 @@ def test_mii_analysis(benchmark):
 
 
 # --------------------------------------------------------------------------- #
-# Incremental pressure tracking: equivalence + counter-verified speedup
+# Incremental pressure tracking: counter-verified, no full sweeps
 # --------------------------------------------------------------------------- #
 def _pressure_workbench():
     """Pressured scheduling problems where the spill check dominates."""
@@ -79,76 +79,47 @@ def _pressure_workbench():
     return cases
 
 
-def _run_mode(cases, incremental):
-    """Schedule every case in one tracking mode; return timings + counters.
+def _run_workbench(cases):
+    """Schedule every case; return timings + counters.
 
     Every case shares one fresh :class:`AnalysisCache`, like the suite
     drivers do (``eos_x2`` appears under three configurations, so the
     cross-configuration reuse the cache exists for is exercised here).
     """
-    SWEEP_COUNTERS.reset()
     analysis_cache = AnalysisCache()
-    signatures = []
-    checks = slot_probes = probe_memo_hits = analysis_reuses = 0
+    checks = sweeps = slot_probes = probe_memo_hits = analysis_reuses = 0
     started = time.perf_counter()
     for config_name, loop in cases:
         result = _schedule(config_name, loop.copy(),
-                           analysis_cache=analysis_cache,
-                           incremental_pressure=incremental)
+                           analysis_cache=analysis_cache)
         checks += result.n_pressure_checks
+        sweeps += result.n_full_sweeps
         slot_probes += result.n_slot_probes
         probe_memo_hits += result.n_probe_memo_hits
         analysis_reuses += result.n_analysis_reuses
-        signatures.append(
-            (result.ii, result.stage_count, result.n_spill_memory_ops,
-             result.n_comm_ops, sorted(result.register_usage.items()))
-        )
     elapsed = time.perf_counter() - started
     return {
         "wall_s": elapsed,
         "pressure_checks": checks,
-        "full_sweeps": SWEEP_COUNTERS.reset(),
+        "full_sweeps": sweeps,
         "slot_probes": slot_probes,
         "probe_memo_hits": probe_memo_hits,
         "analysis_reuses": analysis_reuses,
-        "signatures": signatures,
     }
 
 
-def test_incremental_pressure_tracking(output_dir):
-    """The tracker must change nothing but the cost of pressure checks.
+def test_pressure_checks_need_no_full_sweeps(output_dir):
+    """Every pressure check is answered by the incremental tracker.
 
-    * identical schedules (II, stage count, spill counts, register usage)
-      in both modes -- the tracker is an optimization, not a heuristic;
-    * counter-verified sweep reduction: the full-sweep mode pays at least
-      2x more full-graph MaxLive sweeps than the incremental mode (in
-      practice the incremental engine performs none at all);
-    * a measured wall-clock win, recorded (with every counter) in
-      ``BENCH_scheduler.json`` so the perf trajectory is tracked per PR.
+    The workbench's banks are all bounded, so the engine issues many
+    pressure checks and must pay zero full-graph MaxLive sweeps for
+    them.  The timings and every counter are recorded in
+    ``BENCH_scheduler.json`` so the perf trajectory is tracked per PR.
     """
     cases = _pressure_workbench()
-    incremental = _run_mode(cases, incremental=True)
-    full = _run_mode(cases, incremental=False)
-
-    # 1. Identical scheduling decisions.
-    assert incremental["signatures"] == full["signatures"]
-
-    # 2. Counter-verified sweep elimination (>= 2x fewer full sweeps).
+    incremental = _run_workbench(cases)
     assert incremental["pressure_checks"] > 0
-    assert full["full_sweeps"] >= 2 * max(1, incremental["full_sweeps"]), (
-        f"expected >=2x fewer full sweeps, got "
-        f"{incremental['full_sweeps']} incremental vs {full['full_sweeps']} full"
-    )
-
-    # 3. Wall-clock win.  The counter assertion above is the robust
-    #    gate; the timing assertion is only a sanity floor (the measured
-    #    margin is ~5x, but loaded CI runners make tight wall-clock
-    #    thresholds flaky) -- the actual speedup is recorded in
-    #    BENCH_scheduler.json for trajectory tracking.
-    speedup = full["wall_s"] / incremental["wall_s"]
-    assert speedup > 1.0, (
-        f"incremental tracking must not be slower, measured {speedup:.2f}x"
-    )
+    assert incremental["full_sweeps"] == 0
 
     # Per-kernel single-shot timings for the trajectory record.
     kernel_timings = {}
@@ -167,15 +138,13 @@ def test_incremental_pressure_tracking(output_dir):
             "probe_memo_hits": result.n_probe_memo_hits,
         }
 
-    # Schema 2: workbench modes and per-kernel records additionally carry
-    # the reuse counters (slot_probes, probe_memo_hits, analysis_reuses).
+    # Schema 3: the workbench record and per-kernel records carry the
+    # reuse counters (slot_probes, probe_memo_hits, analysis_reuses);
+    # the full-sweep comparison mode of schema 2 no longer exists.
     payload = {
-        "schema": 2,
+        "schema": 3,
         "workbench_cases": len(cases),
-        "incremental": {k: v for k, v in incremental.items() if k != "signatures"},
-        "full_sweep_mode": {k: v for k, v in full.items() if k != "signatures"},
-        "speedup": speedup,
-        "sweep_ratio": full["full_sweeps"] / max(1, incremental["full_sweeps"]),
+        "incremental": incremental,
         "kernels": kernel_timings,
     }
     (output_dir / "BENCH_scheduler.json").write_text(

@@ -124,12 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "(loop, configuration) pairs are never re-scheduled "
                  "(default: no cache)",
         )
-        command.add_argument(
-            "--core", default="array", choices=("object", "array"),
-            help="scheduler-core backend: the bitmask/flat-array core "
-                 "(array, default) or the reference dict-of-objects core "
-                 "(object); both produce bit-identical schedules",
-        )
         if policy:
             command.add_argument(
                 "--policy", default="mirs_hc", choices=bundle_names(),
@@ -238,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="freeze failures as-is instead of minimizing them")
     fuzz.add_argument("--replay", default=None, metavar="FILE",
                       help="replay one corpus case file and exit")
-    fuzz.add_argument("--core", default="array", choices=("object", "array"),
-                      help="scheduler-core backend to fuzz (default: array)")
 
     serve = sub.add_parser(
         "serve",
@@ -479,8 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_compare.add_argument(
         "--tolerance", type=float, default=0.25, metavar="FRAC",
         help="allowed wall-clock regression as a fraction (default: 0.25); "
-             "counter checks (full sweeps, failures, resume identity) are "
-             "always exact",
+             "counter checks (full sweeps, failures, digests, resume "
+             "identity) are always exact",
     )
 
     return parser
@@ -572,7 +564,6 @@ def _session_from_args(
     return Session(
         policy=getattr(args, "policy", "mirs_hc"),
         budget_ratio=6.0 if budget_ratio is None else budget_ratio,
-        core=getattr(args, "core", "array"),
         jobs=args.jobs,
         cache=_cache_from_args(args),
         checkpoint=_store_from_args(args),
@@ -646,7 +637,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     if cache is None:
         cache = EvalCache()
     with Session(
-        jobs=args.jobs, cache=cache, core=getattr(args, "core", "array"),
+        jobs=args.jobs, cache=cache,
         checkpoint=_store_from_args(args), shard_size=args.shard_size,
     ) as session:
         for target in targets:
@@ -667,7 +658,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         outcome = replay_case(
             case,
             reproducer=f"python -m repro.cli fuzz --replay {args.replay}",
-            core=args.core,
         )
         print(f"{args.replay}: {outcome.status} (expected {case.expect})")
         if outcome.message:
@@ -677,7 +667,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     policies = args.policies
     if policies and "all" in policies:
         policies = bundle_names()
-    session = Session(budget_ratio=args.budget_ratio, core=args.core)
+    session = Session(budget_ratio=args.budget_ratio)
     report = session.fuzz_schedules(
         args.seeds,
         base_seed=args.base_seed,

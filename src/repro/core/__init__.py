@@ -14,9 +14,9 @@ architectures* (MIRS_HC), which simultaneously performs
 Module map
 ----------
 ``banks``            bank identifiers and value-residence rules
-``mrt``              the modulo reservation table
+``mrt``              the reference modulo reservation table
+``arraycore``        the scheduler's MRT and incremental MaxLive tracker
 ``partial``          the mutable partial schedule (slots, force & eject)
-``pressure``         incremental per-bank MaxLive tracking
 ``priority``         node orderings (HRMS-inspired + alternatives)
 ``lifetimes``        register-pressure (MaxLive) computation per bank
 ``communication``    insertion/removal of Move / LoadR / StoreR chains
@@ -33,7 +33,6 @@ Module map
 from repro.core.result import ScheduledOp, ScheduleResult
 from repro.core.engine import SchedulerEngine
 from repro.core.policy import PolicyBundle, bundle_names, get_bundle, resolve_bundle
-from repro.core.pressure import PressureTracker
 from repro.core.mirs_hc import MirsHC, schedule_loop
 from repro.core.baseline import NonIterativeScheduler
 from repro.core.validate import ValidationError, validate_schedule
@@ -45,7 +44,6 @@ __all__ = [
     "ScheduleResult",
     "SchedulerEngine",
     "PolicyBundle",
-    "PressureTracker",
     "bundle_names",
     "get_bundle",
     "resolve_bundle",

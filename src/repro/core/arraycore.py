@@ -1,11 +1,11 @@
-"""Array-native backends for the scheduler's hot state.
+"""Array-native state of the scheduler: reservation table and pressure.
 
-The object backends (:class:`~repro.core.mrt.ModuloReservationTable`,
-:class:`~repro.core.pressure.PressureTracker`) keep their state in
-per-resource / per-node dictionaries of Python containers.  That layout
-is easy to audit but pays a dictionary lookup and a container allocation
-on nearly every probe of the scheduler's innermost loops.  This module
-provides drop-in replacements built on flat arrays and bitmasks:
+The readable references (:class:`~repro.core.mrt.ModuloReservationTable`
+and the from-scratch sweeps of :mod:`repro.core.lifetimes`) keep their
+state in per-resource / per-value dictionaries and lists.  That layout is
+easy to audit but pays a dictionary lookup and a container allocation on
+nearly every probe of the scheduler's innermost loops, and a sweep costs
+O(graph) per pressure check.  The scheduler instead runs on:
 
 * :class:`ArrayMRT` -- resources are numbered densely once at
   construction; occupancy lives in one flat list indexed by
@@ -24,13 +24,13 @@ provides drop-in replacements built on flat arrays and bitmasks:
   in one flat list indexed by ``bank * II + slot``, and the per-bank
   MaxLive is cached and only recomputed for banks whose counts changed.
 
-Both classes are *behaviourally identical* to their object counterparts:
-same probe answers, same exception behaviour, same dictionary key order
-in query results, and -- critical for the force-and-eject path -- the
-same element insertion order into the sets returned by
-``conflicting_nodes``.  ``tests/test_core_equivalence.py`` pins the
-equivalence with a differential hypothesis harness, and the corpus
-replay asserts bit-identical end-to-end schedules.
+Both classes answer exactly like their references: same probe answers,
+same exception behaviour, same dictionary key order in query results,
+and -- critical for the force-and-eject path -- the same element
+insertion order into the sets returned by ``conflicting_nodes``.
+``tests/test_core_equivalence.py`` pins that with a differential
+hypothesis harness, and the golden digests in ``tests/golden_digests.json``
+pin the end-to-end schedules.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class ArrayMRT:
         self._caps: List[int] = [counts[key] for key in self._keys]
         n_slots = len(self._keys) * ii
         #: Occupants per (resource, slot), flat-indexed; append order is
-        #: identical to the object table's so ``conflicting_nodes`` builds
+        #: identical to the reference table's so ``conflicting_nodes`` builds
         #: its result set in the same element order.
         self._occupants: List[List[int]] = [[] for _ in range(n_slots)]
         #: Bit ``s`` of ``_full[r]`` set iff slot ``s`` of resource ``r``
@@ -89,9 +89,9 @@ class ArrayMRT:
         #: range.  Values keep a strong reference to the uses list so an
         #: ``id()`` can never be recycled under the memo.
         self._probe_memo: Dict[tuple, tuple] = {}
-        #: Window scans answered (same count as the object backend).
+        #: Window scans answered (:meth:`first_free_cycle` calls).
         self.n_probes: int = 0
-        #: Window scans served from the epoch memo (array backend only).
+        #: Window scans served from the epoch memo.
         self.n_memo_hits: int = 0
 
     # ------------------------------------------------------------------ #
@@ -358,10 +358,16 @@ _NO_BANK = -1
 class ArrayPressureTracker(GraphListener):
     """Incrementally maintained per-bank MaxLive over flat arrays.
 
-    Same constructor and query contract as
-    :class:`~repro.core.pressure.PressureTracker`; per-node state is
-    stored in parallel arrays indexed by the graph's dense node index,
-    and the per-bank maximum is cached between queries.
+    Placement events (``on_place``/``on_remove`` from the owning
+    :class:`~repro.core.partial.PartialSchedule`) and structural graph
+    edits (observed as a :class:`~repro.ddg.graph.GraphListener`) mark
+    the affected producers dirty; a query re-derives only those
+    lifetimes.  :meth:`usage` and :meth:`lifetimes_by_bank` always equal
+    a from-scratch :func:`~repro.core.lifetimes.register_usage` /
+    :func:`~repro.core.lifetimes.lifetimes_by_bank` over the same
+    (graph, times, clusters).  Per-node state is stored in parallel
+    arrays indexed by the graph's dense node index, and the per-bank
+    maximum is cached between queries.
     """
 
     def __init__(
@@ -406,7 +412,7 @@ class ArrayPressureTracker(GraphListener):
         self._rf_kind = rf.kind
         #: Last :meth:`usage` answer, reused verbatim while no event has
         #: invalidated it (callers treat the dict as read-only, exactly
-        #: like the fresh dict the object tracker hands out each call).
+        #: like the fresh dict :func:`register_usage` hands out each call).
         self._usage_cache: Optional[Dict[int, int]] = None
         # Parallel per-node arrays, indexed by graph.dense_index(node).
         size = graph.dense_index_bound()
@@ -418,10 +424,6 @@ class ArrayPressureTracker(GraphListener):
         #: (live-in values only).
         self._live_banks: List[int] = [0] * size
         self._dirty: Set[int] = set()
-        #: usage() queries served (the per-node spill checks of the paper).
-        self.n_checks: int = 0
-        #: Individual lifetime re-derivations (the incremental work unit).
-        self.n_updates: int = 0
         graph.add_listener(self)
 
     # ------------------------------------------------------------------ #
@@ -524,13 +526,12 @@ class ArrayPressureTracker(GraphListener):
         # is still alive during this callback but is recycled right after,
         # so its recorded contribution must be dropped now -- a later
         # flush could find the index re-used by a new node.
-        self.n_updates += 1
         index = self.graph.dense_index(node_id)
         self._clear(index)
         self._dirty.discard(node_id)
 
     # ------------------------------------------------------------------ #
-    # Slot-count arithmetic (mirrors pressure.PressureTracker._apply)
+    # Slot-count arithmetic (mirrors lifetimes._accumulate)
     # ------------------------------------------------------------------ #
     def _apply(self, bank_index: int, start: int, end: int, sign: int) -> None:
         ii = self.ii
@@ -658,7 +659,6 @@ class ArrayPressureTracker(GraphListener):
         slot-update pair -- and the usage-cache invalidation it drags
         along -- is skipped entirely.
         """
-        self.n_updates += 1
         graph = self.graph
         if node_id not in graph:
             # Removed nodes were cleared eagerly in on_node_removed.
@@ -776,7 +776,6 @@ class ArrayPressureTracker(GraphListener):
 
     def usage(self) -> Dict[int, int]:
         """MaxLive per bank -- same contract as :func:`register_usage`."""
-        self.n_checks += 1
         if not self._dirty and self._usage_cache is not None:
             return self._usage_cache
         self._flush()

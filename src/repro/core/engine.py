@@ -12,12 +12,10 @@ One engine drives both of the paper's schedulers; a
   (the comparison point of Table 4).
 
 Register pressure is maintained *incrementally* by the
-:class:`~repro.core.pressure.PressureTracker` owned by each
+:class:`~repro.core.arraycore.ArrayPressureTracker` owned by each
 :class:`~repro.core.partial.PartialSchedule`: the paper's per-node spill
-check runs after **every** placement at full fidelity (the pre-refactor
-engine throttled it with a staleness interval because each check was a
-full MaxLive sweep), and cluster selection sees the exact current
-pressure instead of a stale copy.
+check runs after **every** placement at full fidelity, and cluster
+selection sees the exact current pressure instead of a stale copy.
 
 The II search is a policy too: the default ``geometric_bisect`` walks
 linearly for three restarts, accelerates geometrically, and -- once an
@@ -37,10 +35,9 @@ from repro.ddg.operations import OpType
 from repro.machine.config import MachineConfig, RFConfig
 from repro.machine.resources import ResourceModel
 from repro.core.analysis_cache import AnalysisCache
-from repro.core.banks import bank_capacity
 from repro.core.cluster_select import UNDECIDED, preassigned_cluster
 from repro.core.communication import cleanup_after_eject, plan_communication
-from repro.core.lifetimes import SWEEP_COUNTERS, register_usage
+from repro.core.lifetimes import register_usage
 from repro.core.partial import PartialSchedule, ScheduleInfeasible
 from repro.core.policy import (
     FailureDiagnosis,
@@ -65,7 +62,7 @@ class _Counters:
         self.pressure_checks: int = 0
         #: MRT window scans (first_free_cycle calls) across all attempts.
         self.slot_probes: int = 0
-        #: Window scans answered by the array core's epoch memo.
+        #: Window scans answered by the reservation table's epoch memo.
         self.probe_memo_hits: int = 0
         #: Analysis products (RecMII, ResMII, priority order) served from
         #: the cross-II/cross-config cache instead of recomputed.
@@ -92,17 +89,6 @@ class SchedulerEngine:
         meaningful for backtracking bundles).
     max_ii:
         Hard upper bound on the II explored before giving up on a loop.
-    incremental_pressure:
-        When False, the incremental tracker is disabled and every
-        pressure check falls back to a full MaxLive sweep -- kept as a
-        benchmark/debug switch so the wall-clock win of the tracker stays
-        measurable on the same code path.
-    core:
-        MRT/pressure backend: ``"array"`` (flat arrays + bitmasks, the
-        default) or ``"object"`` (the readable dictionary
-        implementation).  Both produce bit-identical schedules;
-        ``tests/test_core_equivalence.py`` and the corpus replay pin the
-        equivalence.
     analysis_cache:
         Optional :class:`~repro.core.analysis_cache.AnalysisCache`
         memoizing MII breakdowns and priority orders across loops,
@@ -118,20 +104,14 @@ class SchedulerEngine:
         policy: Union[str, PolicyBundle] = "mirs_hc",
         budget_ratio: float = 6.0,
         max_ii: int = 512,
-        incremental_pressure: bool = True,
-        core: str = "array",
         analysis_cache: Optional[AnalysisCache] = None,
     ) -> None:
         machine.validate_rf(rf)
-        if core not in ("object", "array"):
-            raise ValueError(f"unknown scheduler core {core!r} (use 'object' or 'array')")
         self.machine = machine
         self.rf = rf
-        self.core = core
         self.resources = ResourceModel(machine, rf)
         self.budget_ratio = budget_ratio
         self.max_ii = max_ii
-        self.incremental_pressure = incremental_pressure
         #: Optional cross-II/cross-config memo for machine-independent
         #: analysis (MII breakdown, priority orders); ``None`` recomputes
         #: everything per loop, exactly as before.  The suite drivers
@@ -158,7 +138,6 @@ class SchedulerEngine:
     def schedule_loop(self, loop: Loop) -> ScheduleResult:
         """Schedule one loop, searching upward from its MII."""
         started = time.perf_counter()
-        sweeps_before = SWEEP_COUNTERS.full_sweeps
         search = self._ii_search_cls()
         counters = _Counters()
         attempted: List[int] = []
@@ -227,7 +206,6 @@ class SchedulerEngine:
                     lo = mid
 
         elapsed = time.perf_counter() - started
-        sweeps = SWEEP_COUNTERS.full_sweeps - sweeps_before
         # Upward failures only (the documented "II had to be bumped"
         # count, matching the pre-refactor semantics): the bisection's
         # downward refinement probes are visible in attempted_iis but do
@@ -254,7 +232,6 @@ class SchedulerEngine:
                 bound=breakdown.bound,
                 attempted_iis=trail,
                 n_pressure_checks=counters.pressure_checks,
-                n_full_sweeps=sweeps,
                 policy=self.bundle.name,
                 n_slot_probes=counters.slot_probes,
                 n_probe_memo_hits=counters.probe_memo_hits,
@@ -263,7 +240,7 @@ class SchedulerEngine:
         graph, schedule = best[1]
         return self._build_result(
             loop, graph, schedule, breakdown, restarts, elapsed,
-            attempted, counters, sweeps_before,
+            attempted, counters,
         )
 
     # ------------------------------------------------------------------ #
@@ -338,12 +315,7 @@ class SchedulerEngine:
         if not self._check_registers:
             return None
         counters.pressure_checks += 1
-        if schedule.pressure is not None:
-            return schedule.pressure.usage()
-        return register_usage(
-            schedule.graph, schedule.times, schedule.clusters, schedule.ii,
-            self.rf, self.machine.latency,
-        )
+        return schedule.pressure.usage()
 
     # ------------------------------------------------------------------ #
     def _attempt(
@@ -353,8 +325,7 @@ class SchedulerEngine:
         """One scheduling attempt at a fixed II (None = infeasible)."""
         schedule = PartialSchedule(
             graph, ii, self.machine, self.rf, self.resources,
-            track_pressure=self._check_registers and self.incremental_pressure,
-            core=self.core,
+            track_pressure=self._check_registers,
         )
         try:
             return self._run_attempt(graph, schedule, counters, order)
@@ -478,8 +449,7 @@ class SchedulerEngine:
                     # counters, versus the usage dict + sorted scan the
                     # no-op call would still have built.
                     counters.pressure_checks += 1
-                    tracker = schedule.pressure
-                    if tracker is None or tracker.any_over_capacity():
+                    if schedule.pressure.any_over_capacity():
                         new_spill, _usage = check_and_insert_spill(
                             graph, schedule, self.rf, self.machine, spill_state,
                             victim_policy=self._victim_policy,
@@ -516,18 +486,9 @@ class SchedulerEngine:
             # one more for the spill pass when a bank is actually over.
             if not self._check_registers:
                 break
-            if schedule.pressure is not None:
-                counters.pressure_checks += 1
-                if not schedule.pressure.any_over_capacity():
-                    break
-            else:
-                usage = self._usage(schedule, counters)
-                over = [
-                    bank for bank, used in usage.items()
-                    if used > bank_capacity(self.rf, bank)
-                ]
-                if not over:
-                    break
+            counters.pressure_checks += 1
+            if not schedule.pressure.any_over_capacity():
+                break
             counters.pressure_checks += 1
             new_spill, _usage = check_and_insert_spill(
                 graph, schedule, self.rf, self.machine, spill_state,
@@ -573,7 +534,6 @@ class SchedulerEngine:
         elapsed: float,
         attempted: List[int],
         counters: _Counters,
-        sweeps_before: int,
     ) -> ScheduleResult:
         assignments: Dict[int, ScheduledOp] = {}
         for node_id, cycle in schedule.times.items():
@@ -589,11 +549,15 @@ class SchedulerEngine:
             # (and may be pickled by the evaluation cache): stop
             # observing it so the tracker dies with the attempt.
             schedule.pressure.detach()
+            n_full_sweeps = 0
         else:
+            # Unbounded banks: no tracker ran, so the reported usage
+            # comes from the one full MaxLive sweep of the final schedule.
             usage = register_usage(
                 graph, schedule.times, schedule.clusters, schedule.ii,
                 self.rf, self.machine.latency,
             )
+            n_full_sweeps = 1
         final_breakdown = compute_mii(graph, self.resources, self.machine.latency)
         n_spill_mem = sum(
             1 for op in graph.memory_operations() if op.is_spill
@@ -617,7 +581,7 @@ class SchedulerEngine:
             bound=final_breakdown.bound,
             attempted_iis=attempted,
             n_pressure_checks=counters.pressure_checks,
-            n_full_sweeps=SWEEP_COUNTERS.full_sweeps - sweeps_before,
+            n_full_sweeps=n_full_sweeps,
             policy=self.bundle.name,
             n_slot_probes=counters.slot_probes,
             n_probe_memo_hits=counters.probe_memo_hits,

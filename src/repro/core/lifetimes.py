@@ -28,8 +28,6 @@ from repro.machine.config import RFConfig
 from repro.core.banks import SHARED, all_banks, read_bank, value_bank
 
 __all__ = [
-    "SWEEP_COUNTERS",
-    "SweepCounters",
     "ValueLifetime",
     "register_usage",
     "lifetimes_by_bank",
@@ -37,31 +35,6 @@ __all__ = [
 ]
 
 LatencyFn = Callable[[str], int]
-
-
-class SweepCounters:
-    """Process-wide count of *full-graph* MaxLive sweeps.
-
-    :func:`lifetimes_by_bank` (and therefore :func:`register_usage`,
-    which delegates to it) bumps this every time it walks the whole
-    graph.  The scheduler hot path now goes
-    through the incremental :class:`repro.core.pressure.PressureTracker`
-    instead, and ``benchmarks/test_scheduler_microbench.py`` uses this
-    counter to verify that the full recomputes really are gone (each
-    worker process of the parallel evaluator counts its own sweeps).
-    """
-
-    def __init__(self) -> None:
-        self.full_sweeps: int = 0
-
-    def reset(self) -> int:
-        """Zero the counter and return the previous value."""
-        previous = self.full_sweeps
-        self.full_sweeps = 0
-        return previous
-
-
-SWEEP_COUNTERS = SweepCounters()
 
 
 class ValueLifetime(NamedTuple):
@@ -119,7 +92,6 @@ def lifetimes_by_bank(
     monotonically as the schedule is completed, which is what the
     incremental spill check needs).
     """
-    SWEEP_COUNTERS.full_sweeps += 1
     per_bank: Dict[int, List[ValueLifetime]] = {bank: [] for bank in all_banks(rf)}
     for node in graph.nodes():
         node_id = node.node_id

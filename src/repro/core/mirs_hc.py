@@ -68,8 +68,6 @@ class MirsHC(SchedulerEngine):
         budget_ratio: float = 6.0,
         max_ii: int = 512,
         policy: Union[str, PolicyBundle] = "mirs_hc",
-        incremental_pressure: bool = True,
-        core: str = "array",
         analysis_cache=None,
     ) -> None:
         super().__init__(
@@ -78,8 +76,6 @@ class MirsHC(SchedulerEngine):
             policy=policy,
             budget_ratio=budget_ratio,
             max_ii=max_ii,
-            incremental_pressure=incremental_pressure,
-            core=core,
             analysis_cache=analysis_cache,
         )
 

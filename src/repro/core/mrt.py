@@ -9,6 +9,11 @@ Unpipelined operations (division, square root) occupy their functional
 unit for several consecutive cycles, i.e. several consecutive rows of the
 table (capped at II rows -- beyond that the unit would be permanently
 busy, which the reservation logic treats as occupying every row).
+
+The scheduler itself runs on :class:`repro.core.arraycore.ArrayMRT`;
+this dictionary table is the readable reference: the validator replays
+finished schedules into it from scratch, and the lockstep tests in
+``tests/test_core_equivalence.py`` compare ``ArrayMRT`` against it.
 """
 
 from __future__ import annotations
@@ -43,12 +48,6 @@ class ModuloReservationTable:
         }
         # node -> list of (resource, slot) entries it occupies
         self._held: Dict[int, List[Tuple[ResourceKey, int]]] = {}
-        #: Window scans answered (:meth:`first_free_cycle` calls) -- the
-        #: same count as the array backend, whose epoch memo additionally
-        #: reports ``n_memo_hits`` (always 0 here: this backend recomputes
-        #: every answer, which is exactly what makes it the oracle).
-        self.n_probes: int = 0
-        self.n_memo_hits: int = 0
 
     # ------------------------------------------------------------------ #
     def _slots(self, use: ResourceUse, cycle: int) -> List[int]:
@@ -105,11 +104,10 @@ class ModuloReservationTable:
     ) -> "int | None":
         """First cycle of ``cycles`` where ``can_reserve`` holds, or ``None``.
 
-        The window-scan entry point shared with the array backend
-        (:meth:`repro.core.arraycore.ArrayMRT.first_free_cycle`, which
-        accelerates the same contract with full-slot bitmasks).
+        The reference answer for
+        :meth:`repro.core.arraycore.ArrayMRT.first_free_cycle`, which
+        accelerates the same contract with full-slot bitmasks.
         """
-        self.n_probes += 1
         if not uses:
             for cycle in cycles:
                 return cycle
@@ -132,7 +130,7 @@ class ModuloReservationTable:
         The caller must have checked :meth:`can_reserve` (or be prepared to
         over-subscribe deliberately, which this method refuses).
         ``assume_free`` skips the re-check for callers that just proved
-        availability -- same fused fast path as the array backend.
+        availability -- same contract as the array backend.
         """
         if not assume_free and not self.can_reserve(uses, cycle):
             raise ValueError(f"resources not available for node {node_id} at cycle {cycle}")

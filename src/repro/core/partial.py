@@ -24,8 +24,8 @@ from repro.ddg.graph import DepGraph
 from repro.ddg.operations import OpType
 from repro.machine.config import MachineConfig, RFConfig
 from repro.machine.resources import ResourceModel, ResourceUse, SHARED
+from repro.core.arraycore import ArrayMRT, ArrayPressureTracker
 from repro.core.banks import value_bank
-from repro.core.mrt import ModuloReservationTable
 
 __all__ = ["PartialSchedule", "ScheduleInfeasible"]
 
@@ -56,46 +56,24 @@ class PartialSchedule:
         resources: ResourceModel,
         *,
         track_pressure: bool = False,
-        core: str = "object",
     ) -> None:
-        if core not in ("object", "array"):
-            raise ValueError(f"unknown scheduler core {core!r} (use 'object' or 'array')")
         self.graph = graph
         self.ii = ii
         self.machine = machine
         self.rf = rf
         self.resources = resources
-        self.core = core
         self.times: Dict[int, int] = {}
         self.clusters: Dict[int, Optional[int]] = {}
-        #: The MRT/pressure backend pair.  ``"object"`` is the readable
-        #: dictionary implementation, ``"array"`` the flat-array/bitmask
-        #: one (:mod:`repro.core.arraycore`); both are behaviourally
-        #: identical, so everything above this view layer is agnostic.
-        if core == "array":
-            from repro.core.arraycore import ArrayMRT  # import cycle guard
-
-            self.mrt = ArrayMRT(ii, resources.counts)
-        else:
-            self.mrt = ModuloReservationTable(ii, resources.counts)
+        self.mrt = ArrayMRT(ii, resources.counts)
         #: Incremental per-bank MaxLive state, kept in sync with every
         #: placement and graph edit (``None`` when pressure tracking is
         #: off -- e.g. unbounded banks, or the validator's replay probe,
         #: which writes ``times`` directly).
-        self.pressure: Optional["PressureTracker"] = None
+        self.pressure: Optional[ArrayPressureTracker] = None
         if track_pressure:
-            if core == "array":
-                from repro.core.arraycore import ArrayPressureTracker
-
-                self.pressure = ArrayPressureTracker(
-                    graph, ii, rf, machine.latency, self.times, self.clusters
-                )
-            else:
-                from repro.core.pressure import PressureTracker  # import cycle guard
-
-                self.pressure = PressureTracker(
-                    graph, ii, rf, machine.latency, self.times, self.clusters
-                )
+            self.pressure = ArrayPressureTracker(
+                graph, ii, rf, machine.latency, self.times, self.clusters
+            )
         #: Last cycle each node was (forcibly) placed at; the force rule
         #: places a node at ``max(estart, previous + 1)`` so repeated
         #: ejection cannot ping-pong between the same two cycles.
@@ -241,9 +219,8 @@ class PartialSchedule:
         """Eject a node from the schedule (graph is left untouched).
 
         The pressure tracker is notified *before* the placement is
-        dropped: the array tracker inspects the node's (still-present)
-        cycle to decide which producer lifetimes can actually shrink,
-        and the object tracker only records a dirty mark either way.
+        dropped: it inspects the node's (still-present) cycle to decide
+        which producer lifetimes can actually shrink.
         """
         if node_id in self.times:
             self.mrt.release(node_id)
@@ -275,7 +252,7 @@ class PartialSchedule:
         """Whether the node's held MRT reservation equals ``uses``.
 
         Duration-weighted multiset comparison (one slot per occupied
-        cycle, mirroring :meth:`ModuloReservationTable.reserve`).  A
+        cycle, mirroring :meth:`ArrayMRT.reserve`).  A
         ``Move``'s source port follows its producer's cluster, which
         backtracking and communication-chain re-routing can change after
         placement; callers pass the uses the node *should* hold and eject

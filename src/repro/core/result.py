@@ -74,20 +74,19 @@ class ScheduleResult:
     #: schedule (the paper's per-node spill checks plus the pressure input
     #: of cluster selection).
     n_pressure_checks: int = 0
-    #: Full-graph MaxLive sweeps spent on this loop (the incremental
-    #: tracker keeps this near zero; the benchmark harness compares it
-    #: against ``n_pressure_checks``).
+    #: Full-graph MaxLive sweeps spent on this loop: bounded banks are
+    #: tracked incrementally (0); with unbounded banks no tracker runs and
+    #: a successful schedule's usage comes from one final sweep (1).
     n_full_sweeps: int = 0
     #: Name of the policy bundle that produced this schedule.
     policy: str = "mirs_hc"
     #: Process-local perf telemetry (NOT serialized -- see
-    #: :mod:`repro.serialize`): memo hit rates depend on which core ran
-    #: and in which process, so including them in payloads would break
-    #: the cross-core digest identity the equivalence harness pins.
+    #: :mod:`repro.serialize`): the analysis reuses depend on what the
+    #: process scheduled before, and the serialized payloads feed the
+    #: schedule digests, which must not.
     #: MRT window scans (``first_free_cycle`` calls) across all attempts.
     n_slot_probes: int = 0
-    #: Window scans answered by the array core's epoch-stamped memo
-    #: (always 0 for the object core, which recomputes every answer).
+    #: Window scans answered by the reservation table's epoch-stamped memo.
     n_probe_memo_hits: int = 0
     #: Analysis products (RecMII, ResMII components, priority order)
     #: served from the cross-II/cross-config analysis cache.

@@ -29,7 +29,7 @@ from repro.ddg.graph import DepGraph
 from repro.ddg.operations import OpType
 from repro.machine.config import MachineConfig, RFConfig, RFKind
 from repro.core.banks import SHARED, bank_capacity, read_bank
-from repro.core.lifetimes import ValueLifetime, lifetimes_by_bank, live_in_banks, register_usage
+from repro.core.lifetimes import ValueLifetime, live_in_banks
 from repro.core.partial import PartialSchedule
 
 __all__ = [
@@ -238,21 +238,15 @@ def check_and_insert_spill(
     runs repeatedly as the schedule is built, so pressure is relieved
     incrementally instead of spilling a large batch on one estimate.
 
-    When the schedule carries an incremental
-    :class:`~repro.core.pressure.PressureTracker`, both the per-bank
-    usage and the candidate lifetimes come from it (O(affected
-    lifetimes)); a tracker-less schedule falls back to the full MaxLive
-    sweep.  ``victim_policy`` orders the admissible candidates of an
+    The schedule must track pressure (``track_pressure=True``): both the
+    per-bank usage and the candidate lifetimes come from its incremental
+    :class:`~repro.core.arraycore.ArrayPressureTracker` (O(affected
+    lifetimes)).  ``victim_policy`` orders the admissible candidates of an
     over-subscribed bank, best victim first (see
     :func:`victim_longest_lifetime` and friends).
     """
     tracker = schedule.pressure
-    if tracker is not None:
-        usage = tracker.usage()
-    else:
-        usage = register_usage(
-            graph, schedule.times, schedule.clusters, schedule.ii, rf, machine.latency
-        )
+    usage = tracker.usage()
     new_nodes: List[int] = []
     spills_done = 0
 
@@ -272,13 +266,7 @@ def check_and_insert_spill(
         if capacity == float("inf") or used <= capacity:
             continue
         if per_bank is None:
-            if tracker is not None:
-                per_bank = tracker.lifetimes_by_bank(banks=over_banks)
-            else:
-                per_bank = lifetimes_by_bank(
-                    graph, schedule.times, schedule.clusters, schedule.ii,
-                    rf, machine.latency,
-                )
+            per_bank = tracker.lifetimes_by_bank(banks=over_banks)
         candidates = victim_policy(
             graph,
             [

@@ -17,12 +17,16 @@ definition of a valid modulo schedule:
    bank is unbounded.
 
 Deliberately, this module does **not** use the scheduler's incremental
-:class:`~repro.core.pressure.PressureTracker`: the register-capacity
+state: resources are replayed into a from-scratch
+:class:`~repro.core.mrt.ModuloReservationTable`, and the register-capacity
 check is a from-scratch :func:`~repro.core.lifetimes.register_usage`
-sweep (and the replay probe below writes ``times`` directly, bypassing
-the tracked placement path), so a tracker bug cannot validate its own
-output.  The hypothesis differential oracle in
-``tests/test_properties.py`` holds the two implementations equal.
+sweep (the replay probe below writes ``times`` directly, bypassing the
+tracked placement path), so a bug in
+:class:`~repro.core.arraycore.ArrayMRT` or
+:class:`~repro.core.arraycore.ArrayPressureTracker` cannot validate its
+own output.  The lockstep tests in ``tests/test_core_equivalence.py`` and
+the hypothesis oracle in ``tests/test_properties.py`` hold each pair
+equal.
 """
 
 from __future__ import annotations

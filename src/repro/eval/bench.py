@@ -12,7 +12,8 @@ The repo keeps two committed benchmark baselines at the repository root:
 CI regenerates both records on every push and gates the build with
 :func:`compare_bench`: a fresh record that regresses wall-clock beyond
 the tolerance, *ever* increases a full-sweep counter, fails loops the
-baseline scheduled, or loses bit-identical shard resume fails the job.
+baseline scheduled, changes the schedules of the baseline's workbench,
+or loses bit-identical shard resume fails the job.
 Updating a baseline is therefore always an explicit, reviewed commit --
 that is what makes the records a *trajectory* rather than a log.
 
@@ -213,6 +214,11 @@ def _compare_workbench(
     notes: List[str] = []
     base_configs = baseline.get("configs", {})
     fresh_configs = fresh.get("configs", {})
+    # Only the same loops can be held to the same schedules.
+    same_workbench = all(
+        baseline.get(field) == fresh.get(field)
+        for field in ("tier", "n_loops", "seed")
+    )
     for name, base_entry in base_configs.items():
         fresh_entry = fresh_configs.get(name)
         if fresh_entry is None:
@@ -244,6 +250,14 @@ def _compare_workbench(
             problems.append(
                 f"config {name}: {fresh_failed} loops failed to schedule "
                 f"(baseline: {base_failed})"
+            )
+        base_digest = base_entry["cold"].get("digest")
+        fresh_digest = fresh_entry["cold"].get("digest")
+        if same_workbench and base_digest and fresh_digest != base_digest:
+            problems.append(
+                f"config {name}: schedules changed, runs digest "
+                f"{base_digest[:16]} -> {str(fresh_digest)[:16]} (update the "
+                f"baseline deliberately)"
             )
         base_ii = base_entry["cold"].get("sum_ii")
         fresh_ii = fresh_entry["cold"].get("sum_ii")
@@ -301,7 +315,8 @@ def compare_bench(
 
     Returns ``(problems, notes)``: ``problems`` fail the CI gate
     (wall-clock beyond ``tolerance``, any full-sweep increase, new
-    scheduling failures, lost resume identity, vanished entries);
+    scheduling failures, a changed runs digest on the baseline's
+    workbench, lost resume identity, vanished entries);
     ``notes`` are informational (behaviour changes that need a
     deliberate baseline update).
     """

@@ -16,10 +16,9 @@ that determines the outcome of scheduling one loop:
 * the register-file organization (:class:`~repro.machine.config.RFConfig`);
 * the datapath (:class:`~repro.machine.config.MachineConfig`, including
   latencies and the cache parameters of the real-memory scenario);
-* the scheduling knobs: ``budget_ratio``, the scheduler flavour, the
-  scheduler-core backend (``object``/``array``), whether latencies are
-  re-scaled to the configuration's clock, and the binding-prefetch
-  policy.
+* the scheduling knobs: ``budget_ratio``, the scheduler flavour,
+  whether latencies are re-scaled to the configuration's clock, and the
+  binding-prefetch policy.
 
 Keys are *content* addressed, not identity addressed: regenerating the
 workbench from the same seed in a different process (or on a different
@@ -111,7 +110,6 @@ def schedule_key(
     budget_ratio: float = 6.0,
     scheduler="mirs_hc",
     prefetch: Optional[PrefetchPolicy] = None,
-    core: str = "array",
 ) -> str:
     """The cache key of one (loop, configuration) scheduling problem.
 
@@ -133,11 +131,6 @@ def schedule_key(
         float(budget_ratio),
         _scheduler_token(scheduler),
         _prefetch_token(prefetch, scale_to_clock),
-        # The reservation-table/pressure backend ("object" or "array").
-        # The two cores are verified bit-identical, but they must never
-        # share cache entries by *assumption*: a result produced by one
-        # backend keys on the backend that produced it.
-        str(core),
     )
     return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
 

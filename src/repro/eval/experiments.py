@@ -127,7 +127,6 @@ def _build_engine(
     scale_to_clock: bool,
     budget_ratio: float,
     scheduler: "str | PolicyBundle",
-    core: str = "array",
 ):
     """Instantiate a scheduling engine for one configuration.
 
@@ -149,7 +148,7 @@ def _build_engine(
     # workers of repro.eval.parallel call _build_engine inside the worker
     # process and therefore each get their own per-process instance.
     engine = SchedulerEngine(
-        scaled, rf_config, policy=scheduler, budget_ratio=budget_ratio, core=core,
+        scaled, rf_config, policy=scheduler, budget_ratio=budget_ratio,
         analysis_cache=shared_analysis_cache(),
     )
     return engine, scaled, spec
@@ -182,7 +181,6 @@ def iter_schedule_suite(
     budget_ratio: float = 6.0,
     scheduler: "str | PolicyBundle" = "mirs_hc",
     prefetch: Optional[PrefetchPolicy] = None,
-    core: str = "array",
     jobs: int = 1,
     cache: Optional["EvalCache"] = None,
     executor=None,
@@ -227,7 +225,6 @@ def iter_schedule_suite(
             budget_ratio=budget_ratio,
             scheduler=scheduler,
             prefetch=prefetch,
-            core=core,
             jobs=jobs,
             cache=cache,
             executor=executor,
@@ -242,7 +239,7 @@ def iter_schedule_suite(
     # arguments fail identically on cold and warm runs.  The serial path
     # below schedules on this same engine.
     engine, scaled, spec = _build_engine(
-        rf_config, base, scale_to_clock, budget_ratio, scheduler, core
+        rf_config, base, scale_to_clock, budget_ratio, scheduler
     )
 
     covered = 0
@@ -264,7 +261,6 @@ def iter_schedule_suite(
                 budget_ratio=budget_ratio,
                 scheduler=scheduler,
                 prefetch=prefetch,
-                core=core,
             )
             keys[position] = key
             group = miss_groups.get(key)
@@ -304,7 +300,6 @@ def iter_schedule_suite(
                 budget_ratio=budget_ratio,
                 scheduler=scheduler,
                 prefetch=prefetch,
-                core=core,
                 jobs=jobs,
                 executor=executor,
             )
@@ -337,7 +332,6 @@ def schedule_suite(
     budget_ratio: float = 6.0,
     scheduler: "str | PolicyBundle" = "mirs_hc",
     prefetch: Optional[PrefetchPolicy] = None,
-    core: str = "array",
     jobs: int = 1,
     cache: Optional["EvalCache"] = None,
     executor=None,
@@ -357,11 +351,6 @@ def schedule_suite(
     ``prefetch`` enables selective binding prefetching: the selected loads
     are scheduled with the configuration's miss latency (this is how the
     real-memory experiments of Figure 6 run the scheduler).
-
-    ``core`` selects the reservation-table/pressure backend of the engine
-    (``"array"``, the default, or the reference ``"object"`` core).  The
-    two backends produce bit-identical schedules -- the equivalence suite
-    and ``repro fuzz`` enforce it -- but results are cached per backend.
 
     ``jobs`` fans the workbench out over that many worker processes
     (``0`` means one per CPU); the default of ``1`` keeps the serial
@@ -387,7 +376,6 @@ def schedule_suite(
         budget_ratio=budget_ratio,
         scheduler=scheduler,
         prefetch=prefetch,
-        core=core,
         jobs=jobs,
         cache=cache,
         executor=executor,

@@ -92,7 +92,6 @@ def _schedule_chunk(
         float,
         object,  # policy-bundle name or a picklable PolicyBundle
         Optional[PrefetchPolicy],
-        str,     # scheduler-core backend ("object" | "array")
     ],
 ) -> List[Tuple[int, LoopRun]]:
     """Worker entry point: schedule one chunk of (position, loop) pairs."""
@@ -101,9 +100,9 @@ def _schedule_chunk(
     from repro.eval.experiments import _build_engine, _schedule_one
 
     (chunk, rf_config, base, scale_to_clock, budget_ratio, scheduler,
-     prefetch, core) = payload
+     prefetch) = payload
     engine, scaled, spec = _build_engine(
-        rf_config, base, scale_to_clock, budget_ratio, scheduler, core
+        rf_config, base, scale_to_clock, budget_ratio, scheduler
     )
     return [
         (position, _schedule_one(loop, engine, scaled, spec, prefetch))
@@ -120,7 +119,6 @@ def iter_schedule_loops(
     budget_ratio: float = 6.0,
     scheduler="mirs_hc",
     prefetch: Optional[PrefetchPolicy] = None,
-    core: str = "array",
     jobs: Optional[int] = None,
     executor: Optional[Executor] = None,
 ) -> Iterator[Tuple[int, LoopRun]]:
@@ -147,7 +145,7 @@ def iter_schedule_loops(
         from repro.eval.experiments import _build_engine, _schedule_one
 
         engine, scaled, spec = _build_engine(
-            rf_config, machine, scale_to_clock, budget_ratio, scheduler, core
+            rf_config, machine, scale_to_clock, budget_ratio, scheduler
         )
         for position, loop in tasks:
             yield position, _schedule_one(loop, engine, scaled, spec, prefetch)
@@ -163,7 +161,6 @@ def iter_schedule_loops(
             budget_ratio,
             scheduler,
             prefetch,
-            core,
         )
         for chunk in chunks
     ]
@@ -192,7 +189,6 @@ def schedule_loops_parallel(
     budget_ratio: float = 6.0,
     scheduler="mirs_hc",
     prefetch: Optional[PrefetchPolicy] = None,
-    core: str = "array",
     jobs: Optional[int] = None,
     executor: Optional[Executor] = None,
 ) -> List[Tuple[int, LoopRun]]:
@@ -213,7 +209,6 @@ def schedule_loops_parallel(
             budget_ratio=budget_ratio,
             scheduler=scheduler,
             prefetch=prefetch,
-            core=core,
             jobs=jobs,
             executor=executor,
         )

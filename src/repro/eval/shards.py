@@ -154,7 +154,6 @@ def plan_shards(
     budget_ratio: float = 6.0,
     scheduler="mirs_hc",
     prefetch: Optional[PrefetchPolicy] = None,
-    core: str = "array",
 ) -> ShardPlan:
     """Split a workbench into deterministic, content-addressed shards.
 
@@ -177,7 +176,6 @@ def plan_shards(
             budget_ratio=budget_ratio,
             scheduler=scheduler,
             prefetch=prefetch,
-            core=core,
         )
         for loop in loops
     ]
@@ -371,7 +369,6 @@ def iter_schedule_suite_sharded(
     budget_ratio: float = 6.0,
     scheduler="mirs_hc",
     prefetch: Optional[PrefetchPolicy] = None,
-    core: str = "array",
     jobs: int = 1,
     cache: Optional[EvalCache] = None,
     executor=None,
@@ -407,7 +404,6 @@ def iter_schedule_suite_sharded(
         budget_ratio=budget_ratio,
         scheduler=scheduler,
         prefetch=prefetch,
-        core=core,
     )
     wants_pool = executor is None and jobs != 1 and n_workers > 1
     owned_pool = None
@@ -434,7 +430,6 @@ def iter_schedule_suite_sharded(
                 budget_ratio=budget_ratio,
                 scheduler=scheduler,
                 prefetch=prefetch,
-                core=core,
                 jobs=jobs,
                 cache=cache,
                 executor=executor,

@@ -266,7 +266,6 @@ def job_content_key(request: JobRequest, session: Session) -> str:
                     else float(budget_ratio)
                 ),
                 scheduler=params.get("policy") or session.policy,
-                core=session.core,
             )
             payload = f"schedule:{key}"
         elif request.kind == "explore":
@@ -292,7 +291,6 @@ def job_content_key(request: JobRequest, session: Session) -> str:
                 shard_size=session.shard_size,
                 budget_ratio=session.budget_ratio,
                 scheduler=params.get("policy") or session.policy,
-                core=session.core,
             )
             payload = "evaluate:" + ":".join(shard.key for shard in shards)
     except Exception:
@@ -828,7 +826,6 @@ class BatchScheduler:
             rf=rf,
             machine=self.session.machine,
             policy=policy,
-            core=self.session.core,
             budget_ratio=budget_ratio,
             job_id=record.job_id,
             tier=tier,
@@ -951,7 +948,6 @@ class BatchScheduler:
             machine=session.machine,
             policy=params.get("policy") or session.policy,
             budget_ratio=session.budget_ratio,
-            core=session.core,
             shard_size=session.shard_size,
         )
         try:

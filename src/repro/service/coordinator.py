@@ -116,7 +116,6 @@ class _FleetJob:
     loops: List[Loop]
     policy: str
     budget_ratio: float
-    core: str
     scale_to_clock: bool
     shards: List[_ShardState] = field(default_factory=list)
     n_restored: int = 0
@@ -205,7 +204,6 @@ class ShardCoordinator:
         machine: Optional[MachineConfig] = None,
         policy: str = "mirs_hc",
         budget_ratio: float = 6.0,
-        core: str = "array",
         scale_to_clock: bool = True,
         shard_size: int = DEFAULT_SHARD_SIZE,
     ) -> Dict[str, int]:
@@ -224,7 +222,6 @@ class ShardCoordinator:
             scale_to_clock=scale_to_clock,
             budget_ratio=budget_ratio,
             scheduler=policy,
-            core=core,
         )
         from repro.machine.presets import config_by_name
 
@@ -236,7 +233,6 @@ class ShardCoordinator:
             loops=list(loops),
             policy=policy,
             budget_ratio=float(budget_ratio),
-            core=core,
             scale_to_clock=scale_to_clock,
         )
         # Restored outside the lock: store probing is pure I/O.
@@ -419,7 +415,6 @@ class ShardCoordinator:
                     machine=job.machine,
                     policy=job.policy,
                     budget_ratio=job.budget_ratio,
-                    core=job.core,
                     scale_to_clock=job.scale_to_clock,
                     lease_timeout_s=self.lease_timeout_s,
                 )
@@ -523,7 +518,6 @@ class ShardCoordinator:
                     rf=job.config,
                     machine=job.machine,
                     policy=job.policy,
-                    core=job.core,
                     budget_ratio=job.budget_ratio,
                     scale_to_clock=job.scale_to_clock,
                     job_id=job.job_id,

@@ -7,7 +7,7 @@ The distributed evaluation protocol (:mod:`repro.service.coordinator` /
 * :class:`ShardLease` -- one unit of handed-out work: the shard's loops
   (serialized node by node, exactly like a corpus case), the
   configuration and machine they schedule against, every engine knob
-  that affects the deterministic result (policy, budget ratio, core),
+  that affects the deterministic result (policy, budget ratio),
   and the lease bookkeeping (ids, deadline).  A worker needs nothing but
   this envelope and the base URL to produce the shard's canonical
   ``shard_result``.
@@ -67,7 +67,6 @@ class ShardLease:
     machine: MachineConfig
     policy: str = "mirs_hc"
     budget_ratio: float = 6.0
-    core: str = "array"
     scale_to_clock: bool = True
     #: Seconds the worker has (between renewals) before the coordinator
     #: reassigns the shard; workers derive their heartbeat cadence from it.
@@ -122,7 +121,6 @@ def shard_lease_to_dict(lease: ShardLease) -> Dict:
         "machine": lease.machine.to_dict(),
         "policy": lease.policy,
         "budget_ratio": lease.budget_ratio,
-        "core": lease.core,
         "scale_to_clock": lease.scale_to_clock,
         "lease_timeout_s": lease.lease_timeout_s,
     }
@@ -142,7 +140,6 @@ def shard_lease_from_dict(payload: Dict) -> ShardLease:
         machine=MachineConfig.from_dict(payload["machine"]),
         policy=payload.get("policy", "mirs_hc"),
         budget_ratio=float(payload.get("budget_ratio", 6.0)),
-        core=payload.get("core", "array"),
         scale_to_clock=bool(payload.get("scale_to_clock", True)),
         lease_timeout_s=float(payload.get("lease_timeout_s", 60.0)),
     )

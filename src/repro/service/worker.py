@@ -6,7 +6,7 @@ coordinator, then loop -- pull a :class:`~repro.service.wire.ShardLease`
 session/engine, POST the canonical ``shard_result`` envelope back, and
 heartbeat between loops so the coordinator knows the shard is alive.
 Every deterministic knob (loops, configuration, machine, policy, budget
-ratio, core) travels *inside* the lease, so any worker on any host
+ratio) travels *inside* the lease, so any worker on any host
 produces the byte-identical envelope the coordinator would have computed
 itself; the coordinator persists it through its
 :class:`~repro.eval.shards.ResultStore` and the distributed run's
@@ -241,7 +241,6 @@ def _schedule_lease(
         scale_to_clock=lease.scale_to_clock,
         budget_ratio=lease.budget_ratio,
         scheduler=lease.policy,
-        core=lease.core,
         jobs=jobs,
         cache=cache,
     ):

@@ -64,12 +64,6 @@ class Session:
         them); individual calls may override it.
     budget_ratio:
         Scheduler backtracking budget per node.
-    core:
-        Scheduler-core backend every verb runs on: ``"array"`` (default,
-        the bitmask/flat-array core) or ``"object"`` (the reference
-        dict-of-objects core).  The two are verified bit-identical; the
-        knob exists for differential testing and for pinning the
-        reference behaviour (CLI: ``--core``).
     jobs:
         Default worker count for workbench-sized verbs (``0`` = one per
         CPU, ``1`` = serial).  The pool is created lazily on the first
@@ -104,7 +98,6 @@ class Session:
         machine: Optional[MachineConfig] = None,
         policy: str = "mirs_hc",
         budget_ratio: float = 6.0,
-        core: str = "array",
         jobs: int = 1,
         cache: Optional[EvalCache] = None,
         checkpoint: Optional[Union[str, Path, ResultStore]] = None,
@@ -112,14 +105,9 @@ class Session:
     ) -> None:
         resolve_jobs(jobs)  # validates the worker count
         resolve_bundle(policy)  # fail on unknown bundles at construction
-        if core not in ("object", "array"):
-            raise ValueError(
-                f"core must be 'object' or 'array', got {core!r}"
-            )
         self.machine = machine or baseline_machine()
         self.policy = policy
         self.budget_ratio = float(budget_ratio)
-        self.core = core
         self.jobs = jobs
         self.cache = cache
         self.checkpoint: Optional[ResultStore] = (
@@ -181,7 +169,7 @@ class Session:
         """Stable content hash of everything this session's verbs key on.
 
         Mixed into job content keys by the batch service: two sessions
-        with the same machine, policy bundle, budget ratio, core and
+        with the same machine, policy bundle, budget ratio and
         package/cache-schema version execute an identical request
         identically, so their jobs may share an id -- a session that
         differs in any of these must not.
@@ -201,7 +189,6 @@ class Session:
             _machine_token(self.machine),
             _scheduler_token(self.policy),
             float(self.budget_ratio),
-            str(self.core),
         )
         return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
 
@@ -209,7 +196,6 @@ class Session:
         """Observable session state: cache/checkpoint counters, pool status."""
         return {
             "policy": self.policy,
-            "core": self.core,
             "jobs": self.jobs,
             "pool_active": self._pool is not None,
             "pool_size": self._pool_size,
@@ -320,7 +306,6 @@ class Session:
             machine=self.machine,
             budget_ratio=self.budget_ratio if budget_ratio is None else budget_ratio,
             scheduler=policy or self.policy,
-            core=self.core,
             jobs=1,
             cache=self.cache,
         )
@@ -366,7 +351,6 @@ class Session:
             machine=self.machine,
             budget_ratio=self.budget_ratio,
             scheduler=policy or self.policy,
-            core=self.core,
             jobs=effective_jobs,
             cache=self.cache,
             executor=self.executor(effective_jobs),
@@ -424,7 +408,6 @@ class Session:
             machine=self.machine,
             budget_ratio=self.budget_ratio,
             scheduler=policy or self.policy,
-            core=self.core,
             jobs=effective_jobs,
             cache=self.cache,
             executor=self.executor(effective_jobs),
@@ -513,7 +496,6 @@ class Session:
                 machine=self.machine,
                 budget_ratio=self.budget_ratio,
                 scheduler=policy or self.policy,
-                core=self.core,
                 jobs=effective_jobs,
                 cache=cache,
                 executor=self.executor(effective_jobs),
@@ -555,7 +537,6 @@ class Session:
 
         kwargs.setdefault("machine", self.machine)
         kwargs.setdefault("budget_ratio", self.budget_ratio)
-        kwargs.setdefault("core", self.core)
         if kwargs.get("policies") is None:
             kwargs["policies"] = [self.policy]
         return _fuzz(n_seeds, **kwargs)

@@ -8,7 +8,7 @@ memory; this package is where state *survives*:
   :class:`~repro.service.batch.BatchScheduler`: every job row carries
   its content-hash key, state, and -- once finished -- the serialized
   result envelope) and a ``runs`` table (one row per scheduled
-  ``(loop, config, policy, core, version)`` problem with the metrics
+  ``(loop, config, policy, version)`` problem with the metrics
   columns reports are rendered from).
 * :func:`~repro.store.db.rows_from_runs` -- the single converter from
   live :class:`~repro.eval.metrics.LoopRun` lists to run-table rows,

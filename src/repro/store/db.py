@@ -16,7 +16,7 @@ instance.  It holds two tables:
 
 ``runs``
     The run table reports are rendered from: one row per scheduled
-    ``(loop, config, policy, core, version)`` problem -- the primary
+    ``(loop, config, policy, version)`` problem -- the primary
     key is the same content hash :mod:`repro.eval.cache` and
     :func:`repro.eval.shards.plan_shards` derive -- with metrics
     columns (status, II, MII, spills, scheduling time, canonical
@@ -141,7 +141,6 @@ def rows_from_runs(
     rf,
     machine,
     policy: str,
-    core: str,
     budget_ratio: float = 6.0,
     scale_to_clock: bool = True,
     job_id: Optional[str] = None,
@@ -153,7 +152,9 @@ def rows_from_runs(
 
     The single converter the local execution path, the fleet
     coordinator, and tests share, so every writer derives identical
-    ``run_key``/``digest`` values for identical work.
+    ``run_key``/``digest`` values for identical work.  The persisted
+    ``core`` column keeps the name of the one scheduler core,
+    ``"array"``.
     """
     import repro
     from repro.eval.cache import schedule_key
@@ -172,12 +173,11 @@ def rows_from_runs(
                     scale_to_clock=scale_to_clock,
                     budget_ratio=budget_ratio,
                     scheduler=policy,
-                    core=core,
                 ),
                 loop_name=result.loop_name,
                 config_name=result.config_name,
                 policy=policy,
-                core=core,
+                core="array",
                 version=repro.__version__,
                 status="ok" if result.success else "failed",
                 ii=int(result.ii),
@@ -225,7 +225,7 @@ class RunDatabase:
                        "submitted_at": time.time()})
         db.update_job("job-ab12...", state="done", result="{...}")
         db.add_runs(rows_from_runs(runs, rf=rf, machine=machine,
-                                   policy="mirs_hc", core="array"))
+                                   policy="mirs_hc"))
         rows = db.query_runs(configs=("4C16S16",))
 
     The connection is opened in WAL mode with a busy timeout so several

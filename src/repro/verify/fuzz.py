@@ -132,7 +132,6 @@ def run_pipeline(
     n_iterations: Optional[int] = None,
     reproducer: Optional[str] = None,
     policy: str = "mirs_hc",
-    core: str = "array",
 ) -> PipelineOutcome:
     """Push one loop through the full verification pipeline.
 
@@ -151,7 +150,7 @@ def run_pipeline(
         scaled = base
     try:
         result = SchedulerEngine(
-            scaled, rf, policy=policy, budget_ratio=budget_ratio, core=core
+            scaled, rf, policy=policy, budget_ratio=budget_ratio
         ).schedule_loop(loop)
     except Exception:
         return PipelineOutcome(
@@ -192,7 +191,6 @@ def replay_case(
     case: Union[CorpusCase, str, Path],
     *,
     reproducer: Optional[str] = None,
-    core: str = "array",
 ) -> PipelineOutcome:
     """Replay one frozen corpus case through the full pipeline.
 
@@ -212,7 +210,6 @@ def replay_case(
         n_iterations=case.n_iterations,
         reproducer=reproducer,
         policy=case.policy,
-        core=core,
     )
 
 
@@ -429,7 +426,6 @@ def fuzz_schedules(
     sample_configs: bool = False,
     machine: Optional[MachineConfig] = None,
     budget_ratio: float = 6.0,
-    core: str = "array",
     time_budget_s: Optional[float] = None,
     corpus_dir: Optional[Union[str, Path]] = None,
     shrink: bool = True,
@@ -489,7 +485,6 @@ def fuzz_schedules(
             n_iterations=n_iterations,
             reproducer=reproducer,
             policy=policy,
-            core=core,
         )
         report.n_cases += 1
         if outcome.status == "ok":
@@ -518,7 +513,6 @@ def fuzz_schedules(
                     budget_ratio=budget_ratio,
                     n_iterations=n_iterations,
                     policy=policy,
-                    core=core,
                 )
                 return probe.status == failure_kind
 

@@ -1,18 +1,21 @@
-"""Differential lockstep harness: object core vs. array core.
+"""Differential lockstep harness: the array core vs. its references.
 
-The array-native backends (:mod:`repro.core.arraycore`) promise *bit
-identity* with the reference object backends -- same probe answers, same
-set-insertion order in ``conflicting_nodes`` (the force-and-eject path
-iterates that set), same dictionary key order in ``usage()``, same
-lifetime endpoints.  These tests drive randomly generated
-reserve/release/eject/forget sequences through both backends **in
-lockstep** and compare the full observable state after every single
+The scheduler's state (:mod:`repro.core.arraycore`) promises to answer
+exactly like the readable references -- :class:`ArrayMRT` like
+:class:`~repro.core.mrt.ModuloReservationTable` (same probe answers, same
+set-insertion order in ``conflicting_nodes``, which the force-and-eject
+path iterates), :class:`ArrayPressureTracker` like a from-scratch
+:func:`~repro.core.lifetimes.register_usage` /
+:func:`~repro.core.lifetimes.lifetimes_by_bank` sweep (same values, same
+dictionary key order, same lifetime endpoints).  These tests drive
+randomly generated reserve/release/eject/forget sequences through both
+**in lockstep** and compare the full observable state after every single
 step, so any divergence is caught at the step that introduced it (not
 three spills later as a different final schedule).
 
-``tests/test_corpus.py`` complements this with end-to-end bit identity
-on every frozen corpus case; ``repro fuzz --core array`` covers the
-whole pipeline.
+The golden digests (``tests/test_golden_digests.py`` and the corpus
+replay) pin the end-to-end schedules; ``repro fuzz`` covers the whole
+pipeline.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.arraycore import ArrayMRT, ArrayPressureTracker
+from repro.core.lifetimes import lifetimes_by_bank, register_usage
 from repro.core.mrt import ModuloReservationTable
-from repro.core.pressure import PressureTracker
 from repro.ddg.graph import DepGraph
 from repro.ddg.operations import OpType
 from repro.machine.presets import baseline_machine, config_by_name
@@ -216,30 +219,36 @@ def _pressure_script(draw):
     return config_name, ii, ops, edges, steps
 
 
-def _assert_trackers_equal(obj: PressureTracker, arr: ArrayPressureTracker) -> None:
-    obj_usage = obj.usage()
-    arr_usage = arr.usage()
-    assert obj_usage == arr_usage
-    assert list(obj_usage) == list(arr_usage)
-    obj_lifetimes = obj.lifetimes_by_bank()
-    arr_lifetimes = arr.lifetimes_by_bank()
-    assert list(obj_lifetimes) == list(arr_lifetimes)
-    # NamedTuple equality covers node, bank and both lifetime endpoints.
-    assert obj_lifetimes == arr_lifetimes
+def _assert_tracker_matches_sweep(tracker: ArrayPressureTracker) -> None:
+    sweep_args = (
+        tracker.graph, tracker.times, tracker.clusters, tracker.ii,
+        tracker.rf, tracker.latency_of,
+    )
+    usage = tracker.usage()
+    fresh_usage = register_usage(*sweep_args)
+    assert usage == fresh_usage
+    assert list(usage) == list(fresh_usage)
+    lifetimes = tracker.lifetimes_by_bank()
+    fresh_lifetimes = lifetimes_by_bank(*sweep_args)
+    assert list(lifetimes) == list(fresh_lifetimes)
+    # NamedTuple equality covers node, bank and both lifetime endpoints,
+    # list equality their order.
+    assert lifetimes == fresh_lifetimes
 
 
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_pressure_script())
 def test_pressure_lockstep_equivalence(script):
-    """Both trackers agree on usage and lifetime endpoints after every event.
+    """The tracker equals a from-scratch sweep after every event.
 
-    Both trackers observe the *same* graph (two listeners) and share the
-    same ``times``/``clusters`` dictionaries, exactly like a pair of
-    :class:`~repro.core.partial.PartialSchedule` backends would; the
-    script then replays the full event alphabet of the scheduler --
-    place, eject (``on_remove`` fires *before* the times entry goes
-    away, mirroring ``PartialSchedule.remove``), structural edge edits
-    from spilling/communication re-routing, and node removal.
+    The tracker observes the graph and shares the ``times``/``clusters``
+    dictionaries exactly like the one a
+    :class:`~repro.core.partial.PartialSchedule` owns; the script replays
+    the full event alphabet of the scheduler -- place, eject
+    (``on_remove`` fires *before* the times entry goes away, mirroring
+    ``PartialSchedule.remove``), structural edge edits from
+    spilling/communication re-routing, and node removal -- and the
+    sweeps recompute usage and lifetimes from the same state.
     """
     config_name, ii, ops, edges, steps = script
     rf = config_by_name(config_name)
@@ -255,8 +264,7 @@ def test_pressure_lockstep_equivalence(script):
 
     times: dict = {}
     clusters: dict = {}
-    obj = PressureTracker(graph, ii, rf, machine.latency, times, clusters)
-    arr = ArrayPressureTracker(graph, ii, rf, machine.latency, times, clusters)
+    tracker = ArrayPressureTracker(graph, ii, rf, machine.latency, times, clusters)
 
     for step in steps:
         tag = step[0]
@@ -269,8 +277,7 @@ def test_pressure_lockstep_equivalence(script):
                 continue   # pseudo ops are never scheduled
             times[node_id] = cycle
             clusters[node_id] = cluster % n_clusters
-            obj.on_place(node_id)
-            arr.on_place(node_id)
+            tracker.on_place(node_id)
         elif tag == "eject":
             _tag, pos = step
             node_id = node_ids[pos]
@@ -278,8 +285,7 @@ def test_pressure_lockstep_equivalence(script):
                 continue
             # PartialSchedule.remove notifies while times still holds the
             # node, then deletes the entries -- mirror that order.
-            obj.on_remove(node_id)
-            arr.on_remove(node_id)
+            tracker.on_remove(node_id)
             del times[node_id]
             del clusters[node_id]
         elif tag == "add_edge":
@@ -300,20 +306,18 @@ def test_pressure_lockstep_equivalence(script):
             if node_id not in graph or len(graph) <= 1:
                 continue
             if node_id in times:
-                obj.on_remove(node_id)
-                arr.on_remove(node_id)
+                tracker.on_remove(node_id)
                 del times[node_id]
                 del clusters[node_id]
             graph.remove_node(node_id)
-        _assert_trackers_equal(obj, arr)
+        _assert_tracker_matches_sweep(tracker)
 
-    obj.detach()
-    arr.detach()
+    tracker.detach()
     assert not graph._listeners
 
 
 def test_pressure_trackers_share_partial_schedule_contract():
-    """A tiny hand-built chain agrees across both trackers end to end."""
+    """A tiny hand-built chain agrees with the sweep end to end."""
     rf = config_by_name("4C16S16")
     machine = baseline_machine()
     graph = DepGraph()
@@ -327,14 +331,11 @@ def test_pressure_trackers_share_partial_schedule_contract():
 
     times: dict = {}
     clusters: dict = {}
-    obj = PressureTracker(graph, 3, rf, machine.latency, times, clusters)
-    arr = ArrayPressureTracker(graph, 3, rf, machine.latency, times, clusters)
+    tracker = ArrayPressureTracker(graph, 3, rf, machine.latency, times, clusters)
     for node_id, cycle, cluster in [(load, 0, 0), (mul, 4, 1), (store, 6, 1)]:
         times[node_id] = cycle
         clusters[node_id] = cluster
-        obj.on_place(node_id)
-        arr.on_place(node_id)
-        _assert_trackers_equal(obj, arr)
+        tracker.on_place(node_id)
+        _assert_tracker_matches_sweep(tracker)
     # The live-in charges one whole-loop register in the mul's bank.
-    assert obj.usage() == arr.usage()
-    assert arr.usage()[1] >= 1
+    assert tracker.usage()[1] >= 1

@@ -187,14 +187,6 @@ class TestFailurePath:
         assert result.n_full_sweeps == 0  # incremental tracker: no sweeps
         assert result.policy == "mirs_hc"
 
-    def test_non_incremental_mode_sweeps(self):
-        machine, rf = scaled("4C16S16")
-        result = MirsHC(machine, rf, incremental_pressure=False).schedule_loop(
-            build_kernel("daxpy")
-        )
-        assert result.success
-        assert result.n_full_sweeps > 0
-
 
 # --------------------------------------------------------------------------- #
 # Spill-victim policies (unit level)

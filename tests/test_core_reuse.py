@@ -10,10 +10,10 @@ search, probe memoization, and the eval-cache LRU bound.
   differential against the linear search proves it never passes over a
   schedulable II, and a pinned zero-port regression exercises the
   certificate (with its ``skipped:`` audit entry in ``attempted_iis``).
-* The array core's probe memo is counted on every result
+* The reservation table's probe memo is counted on every result
   (``n_slot_probes`` / ``n_probe_memo_hits``) and none of the new
   counters leak into the serialized payload (they are process-local
-  telemetry; the cross-core digests must not see them).
+  telemetry; the schedule digests must not see them).
 """
 
 from dataclasses import replace
@@ -260,15 +260,9 @@ class TestInformedIISearch:
 class TestProbeMemo:
     def test_counters_surface_on_results(self):
         machine, rf = scaled("4C16S16")
-        loop = build_kernel("equation_of_state")
-        array = MirsHC(machine, rf, core="array").schedule_loop(loop.copy())
-        obj = MirsHC(machine, rf, core="object").schedule_loop(loop.copy())
-        assert array.n_slot_probes > 0
-        # Both backends count every window-scan entry identically...
-        assert obj.n_slot_probes == array.n_slot_probes
-        # ...but only the array core carries the epoch memo.
-        assert obj.n_probe_memo_hits == 0
-        assert array.n_probe_memo_hits >= 0
+        result = MirsHC(machine, rf).schedule_loop(build_kernel("equation_of_state"))
+        assert result.n_slot_probes > 0
+        assert result.n_probe_memo_hits >= 0
 
 
 # --------------------------------------------------------------------------- #

@@ -30,9 +30,15 @@ def high_pressure_graph(n_values=12, gap=30):
 
 
 def make_schedule(graph, rf, machine, times, clusters, ii=2):
-    schedule = PartialSchedule(graph, ii, machine, rf, ResourceModel(machine, rf))
-    schedule.times = dict(times)
-    schedule.clusters = dict(clusters)
+    schedule = PartialSchedule(
+        graph, ii, machine, rf, ResourceModel(machine, rf), track_pressure=True
+    )
+    # The pressure tracker shares these dictionaries: fill them in place
+    # and report each placement, as PartialSchedule.place would.
+    schedule.times.update(times)
+    schedule.clusters.update(clusters)
+    for node_id in times:
+        schedule.pressure.on_place(node_id)
     return schedule
 
 

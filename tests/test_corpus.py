@@ -9,7 +9,9 @@ regressions (like the PR 1 spill dead-end loops that seed the corpus)
 are pinned the same way.
 """
 
+import functools
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from repro.verify.corpus import discover_cases, load_case
 from repro.verify.fuzz import run_pipeline
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
+GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 CASES = discover_cases(CORPUS_DIR)
 
 
@@ -27,8 +30,21 @@ def test_corpus_is_seeded():
     assert len(CASES) >= 4
 
 
-@pytest.mark.parametrize("path", CASES, ids=[path.stem for path in CASES])
-def test_replay_corpus_case(path):
+def schedule_digest(result) -> str:
+    """Content hash of everything schedule-shaped in a result.
+
+    Wall-clock time is the only nondeterministic field, so it is zeroed
+    before hashing; every placement, counter and usage figure
+    participates.
+    """
+    payload = result.to_dict()
+    payload["scheduling_time_s"] = 0.0
+    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _replay(path):
+    """One pipeline run per case, shared by the tests below."""
     case = load_case(path)
     outcome = run_pipeline(
         case.loop,
@@ -40,6 +56,12 @@ def test_replay_corpus_case(path):
         reproducer=f"python -m repro.cli fuzz --replay {path}",
         policy=case.policy,
     )
+    return case, outcome
+
+
+@pytest.mark.parametrize("path", CASES, ids=[path.stem for path in CASES])
+def test_replay_corpus_case(path):
+    case, outcome = _replay(path)
     assert outcome.status == case.expect, (
         f"{path.name}: expected {case.expect!r}, observed {outcome.status!r}\n"
         f"{case.description}\n{outcome.message}"
@@ -52,46 +74,17 @@ def test_replay_corpus_case(path):
         assert outcome.result.n_spill_memory_ops > 0
 
 
-def _schedule_digest(result) -> str:
-    """Content hash of everything schedule-shaped in a result.
-
-    Wall-clock time is the only field allowed to differ between the
-    object and array scheduler cores, so it is zeroed before hashing;
-    every placement, counter and usage figure participates.
-    """
-    payload = result.to_dict()
-    payload["scheduling_time_s"] = 0.0
-    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
-
-
 @pytest.mark.parametrize("path", CASES, ids=[path.stem for path in CASES])
 def test_corpus_case_is_core_invariant(path):
-    """Both scheduler cores produce bit-identical schedules on the corpus.
+    """The scheduler core reproduces each case's schedule bit for bit.
 
-    The array core is a drop-in replacement for the object core; replay
-    every frozen case under both and require the same outcome status,
-    the same II, the same spill count and the same full-schedule digest
-    (placements, clusters, register usage, search trace).
+    The golden digest in ``tests/golden_digests.json`` was taken while an
+    object core and the array core ran side by side and agreed on every
+    case; the remaining array core must still produce it (placements,
+    clusters, register usage, search trace).  See
+    ``tests/test_golden_digests.py`` for how the file is regenerated.
     """
-    case = load_case(path)
-    outcomes = {
-        core: run_pipeline(
-            case.loop,
-            case.rf,
-            case.machine,
-            budget_ratio=case.budget_ratio,
-            scale_to_clock=case.scale_to_clock,
-            n_iterations=case.n_iterations,
-            reproducer=f"python -m repro.cli fuzz --replay {path} --core {core}",
-            policy=case.policy,
-            core=core,
-        )
-        for core in ("object", "array")
-    }
-    obj, arr = outcomes["object"], outcomes["array"]
-    assert obj.status == arr.status
-    assert (obj.result is None) == (arr.result is None)
-    if obj.result is not None:
-        assert obj.result.ii == arr.result.ii
-        assert obj.result.n_spill_memory_ops == arr.result.n_spill_memory_ops
-        assert _schedule_digest(obj.result) == _schedule_digest(arr.result)
+    _case, outcome = _replay(path)
+    assert outcome.result is not None
+    golden = json.loads(GOLDEN_PATH.read_text())["corpus"]
+    assert schedule_digest(outcome.result) == golden[path.stem]

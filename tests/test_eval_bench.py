@@ -110,6 +110,16 @@ class TestWorkbenchGate:
         assert problems == []
         assert any("sum II changed" in n for n in notes)
 
+    def test_changed_digest_fails_on_the_same_workbench(self, record):
+        changed = copy.deepcopy(record)
+        changed["configs"]["S64"]["cold"]["digest"] = "0" * 64
+        problems, _notes = compare_bench(record, changed)
+        assert any("schedules changed" in p for p in problems)
+        # Another workbench schedules other loops: its digest cannot match.
+        changed["seed"] += 1
+        problems, _notes = compare_bench(record, changed)
+        assert problems == []
+
     def test_missing_config_fails(self, record):
         gutted = copy.deepcopy(record)
         del gutted["configs"]["S64"]
@@ -122,7 +132,6 @@ class TestSchedulerGate:
 
     BASELINE = {
         "schema": 1,
-        "full_sweep_mode": {"full_sweeps": 12000, "wall_s": 3.5},
         "incremental": {"full_sweeps": 0, "wall_s": 0.8},
         "kernels": {
             "daxpy@S64": {"full_sweeps": 0, "ii": 1, "wall_s": 0.0005},

@@ -232,8 +232,8 @@ class TestPressureProperties:
 class TestPressureTrackerProperties:
     """The tracker must equal a from-scratch MaxLive recompute, always.
 
-    The refactored engine trusts :class:`PressureTracker` for every spill
-    check; this oracle drives a partial schedule through arbitrary
+    The engine trusts :class:`~repro.core.arraycore.ArrayPressureTracker`
+    for every spill check; this oracle drives a partial schedule through arbitrary
     place / eject / spill / cleanup sequences (including the graph edits
     spilling and communication insertion perform) and asserts after every
     step that the incremental state matches ``register_usage`` recomputed

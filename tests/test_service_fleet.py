@@ -71,7 +71,6 @@ def _schedule_envelope(lease: ShardLease) -> dict:
         scale_to_clock=lease.scale_to_clock,
         budget_ratio=lease.budget_ratio,
         scheduler=lease.policy,
-        core=lease.core,
     ):
         runs[local] = run
     result = ShardResult(
@@ -115,9 +114,9 @@ class TestWireTypes:
         assert back.positions == lease.positions
         assert back.config == lease.config
         assert back.machine == lease.machine
-        assert (back.policy, back.budget_ratio, back.core,
+        assert (back.policy, back.budget_ratio,
                 back.scale_to_clock, back.lease_timeout_s) == (
-            lease.policy, lease.budget_ratio, lease.core,
+            lease.policy, lease.budget_ratio,
             lease.scale_to_clock, lease.lease_timeout_s
         )
         # Loop fingerprints survive the round trip (the digest identity

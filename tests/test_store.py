@@ -217,7 +217,7 @@ class TestRowsFromRuns:
             rows = rows_from_runs(
                 [LoopRun(loop=loop, result=result)],
                 rf=rf, machine=session.machine,
-                policy=session.policy, core=session.core,
+                policy=session.policy,
                 budget_ratio=session.budget_ratio,
                 job_id="job-x", tier="tiny", created_at=42.0,
             )
@@ -226,9 +226,10 @@ class TestRowsFromRuns:
         (row,) = rows
         assert row.run_key == schedule_key(
             loop, rf, session.machine, budget_ratio=session.budget_ratio,
-            scheduler=session.policy, core=session.core,
+            scheduler=session.policy,
         )
         assert row.status == "ok" and row.ii >= row.mii >= 1
+        assert row.core == "array"
         assert row.digest and row.job_id == "job-x"
         assert row.created_at == 42.0
 
