@@ -47,7 +47,7 @@ The flat v1 verbs (``repro.api.schedule_kernel`` and friends) keep
 working as thin shims over a default session.
 """
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 from repro.machine import MachineConfig, RFConfig, baseline_machine, config_by_name
 from repro.ddg import DepGraph, Loop, OpType

@@ -70,20 +70,24 @@ class ScheduleResult:
     #: one ``"skipped:<from>..:<why>"`` string as its audit trail (see
     #: :class:`repro.core.policy.InformedIISearch`).
     attempted_iis: List[Union[int, str]] = field(default_factory=list)
-    #: Register-pressure queries the scheduler issued while building the
+    #: Process-local perf telemetry, like ``n_slot_probes`` below (NOT
+    #: serialized, reads 0 on a result rebuilt from its payload):
+    #: register-pressure queries the scheduler issued while building the
     #: schedule (the paper's per-node spill checks plus the pressure input
     #: of cluster selection).
     n_pressure_checks: int = 0
-    #: Full-graph MaxLive sweeps spent on this loop: bounded banks are
-    #: tracked incrementally (0); with unbounded banks no tracker runs and
-    #: a successful schedule's usage comes from one final sweep (1).
+    #: Process-local telemetry: full-graph MaxLive sweeps spent on this
+    #: loop.  Bounded banks are tracked incrementally (0); with unbounded
+    #: banks no tracker runs and a successful schedule's usage comes from
+    #: one final sweep (1).
     n_full_sweeps: int = 0
     #: Name of the policy bundle that produced this schedule.
     policy: str = "mirs_hc"
     #: Process-local perf telemetry (NOT serialized -- see
-    #: :mod:`repro.serialize`): the analysis reuses depend on what the
-    #: process scheduled before, and the serialized payloads feed the
-    #: schedule digests, which must not.
+    #: :mod:`repro.serialize`): these fields and the two counters above
+    #: measure the scheduler's work, and the serialized payloads feed the
+    #: schedule digests, which pin the schedule and must not move when
+    #: the same schedule is found with less work.
     #: MRT window scans (``first_free_cycle`` calls) across all attempts.
     n_slot_probes: int = 0
     #: Window scans answered by the reservation table's epoch-stamped memo.

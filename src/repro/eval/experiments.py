@@ -1008,6 +1008,10 @@ def run_ablation_policies(
     backtracking itself) can be ablated against the MIRS_HC defaults.
     Bundles default to every registered one (see
     :func:`repro.core.policy.bundle_names`).
+
+    The "pressure checks" column sums process-local telemetry that is
+    not serialized with results: it reads 0 for runs restored from
+    shards or a disk cache, or scheduled in worker processes.
     """
     jobs, cache, executor, store = _engine_context(session, jobs, cache)
     loops = _suite(n_loops, seed)

@@ -329,7 +329,14 @@ def _mii_breakdown_from_dict(payload: Dict) -> MIIBreakdown:
 
 
 def schedule_result_to_dict(result: ScheduleResult) -> Dict:
-    """The ``data`` payload of a serialized :class:`ScheduleResult`."""
+    """The ``data`` payload of a serialized :class:`ScheduleResult`.
+
+    The payload is the schedule contract that every digest hashes, so it
+    holds what the scheduler produced, not how much work that took: the
+    work counters (``n_pressure_checks``, ``n_full_sweeps``,
+    ``n_slot_probes``, ...) are process-local telemetry and are not
+    written.
+    """
     assignments = [
         {
             "node": placed.node_id,
@@ -361,8 +368,6 @@ def schedule_result_to_dict(result: ScheduleResult) -> Dict:
         "restarts": result.restarts,
         "bound": result.bound,
         "attempted_iis": list(result.attempted_iis),
-        "n_pressure_checks": result.n_pressure_checks,
-        "n_full_sweeps": result.n_full_sweeps,
         "policy": result.policy,
     }
 
@@ -372,7 +377,9 @@ def schedule_result_from_dict(payload: Dict) -> ScheduleResult:
 
     Node ids in ``assignments`` are remapped through the rebuilt graph's
     id map, so results whose graphs were saved with id gaps (nodes
-    removed by ejection cleanup) stay consistent.
+    removed by ejection cleanup) stay consistent.  Envelopes written
+    before 1.12 also carry ``n_pressure_checks`` and ``n_full_sweeps``;
+    those keys are ignored, and the rebuilt counters read 0.
     """
     graph = None
     id_map: Dict[int, int] = {}
@@ -413,8 +420,6 @@ def schedule_result_from_dict(payload: Dict) -> ScheduleResult:
             ii if isinstance(ii, str) else int(ii)
             for ii in payload.get("attempted_iis", ())
         ],
-        n_pressure_checks=int(payload.get("n_pressure_checks", 0)),
-        n_full_sweeps=int(payload.get("n_full_sweeps", 0)),
         policy=payload.get("policy", "mirs_hc"),
     )
 
