@@ -33,7 +33,7 @@ from repro.ddg.graph import DepGraph
 from repro.ddg.loop import Loop
 from repro.ddg.operations import OpType
 from repro.machine.config import MachineConfig, RFConfig
-from repro.machine.resources import ResourceModel
+from repro.machine.resources import ResourceKey, ResourceKind, ResourceModel
 from repro.core.analysis_cache import AnalysisCache
 from repro.core.cluster_select import UNDECIDED, preassigned_cluster
 from repro.core.communication import cleanup_after_eject, plan_communication
@@ -67,6 +67,34 @@ class _Counters:
         #: Analysis products (RecMII, ResMII, priority order) served from
         #: the cross-II/cross-config cache instead of recomputed.
         self.analysis_reuses: int = 0
+
+
+class _SpillDemand:
+    """Port slots the spill code committed in one attempt needs.
+
+    Counts memory operations (original plus spill) and, per LP/SP port
+    of a home cluster, the spill ``LoadR``/``StoreR`` copies.  Spill
+    nodes are never deleted within an attempt, so these counts only grow
+    (see :meth:`SchedulerEngine._spill_ports_exhausted`).
+    """
+
+    __slots__ = ("memory", "ports")
+
+    def __init__(self, graph: DepGraph) -> None:
+        self.memory = len(graph.memory_operations())
+        self.ports: Dict[ResourceKey, int] = {}
+
+    def add(self, graph: DepGraph, spill_nodes: List[int]) -> None:
+        """Count the nodes one spill pass inserted: O(inserted nodes)."""
+        for node_id in spill_nodes:
+            node = graph.node(node_id)
+            if node.op.is_memory:
+                self.memory += 1
+                continue
+            # Spill code is memory operations, LoadRs and StoreRs only.
+            kind = ResourceKind.LP if node.op is OpType.LOADR else ResourceKind.SP
+            key = (kind, node.home_cluster)
+            self.ports[key] = self.ports.get(key, 0) + 1
 
 
 class SchedulerEngine:
@@ -133,6 +161,12 @@ class SchedulerEngine:
         # organizations the per-node query would be wasted work (and
         # would inflate n_pressure_checks with queries nothing consumed).
         self._cluster_choice_exists = rf.has_cluster_banks and rf.n_clusters > 1
+        #: Memory ports per reservation-table row, summed over owners
+        #: (one shared owner, or one per cluster in pure clustered files).
+        self._mem_ports = sum(
+            count for (kind, _owner), count in self.resources.counts.items()
+            if kind is ResourceKind.MEM
+        )
 
     # ------------------------------------------------------------------ #
     def schedule_loop(self, loop: Loop) -> ScheduleResult:
@@ -317,6 +351,30 @@ class SchedulerEngine:
         counters.pressure_checks += 1
         return schedule.pressure.usage()
 
+    def _spill_ports_exhausted(self, demand: _SpillDemand, ii: int) -> bool:
+        """Whether the attempt's committed spill code can never fit at ``ii``.
+
+        Sound for three reasons:
+
+        1. spill nodes are never deleted within an attempt --
+           ``cleanup_after_eject`` deletes only non-spill communication;
+        2. each spill node's reservation is fixed: a spill load or store
+           takes one memory slot, a spill LoadR (StoreR) one LP (SP) slot
+           on its ``home_cluster``, which every cluster policy honours and
+           ``plan_communication`` rewrites only for non-spill copies;
+        3. a successful attempt holds every node in a reservation table
+           with ``ii`` rows.
+
+        So once the memory operations outnumber the memory slots, or one
+        cluster's spill LoadRs (StoreRs) outnumber its LP (SP) slots, the
+        attempt can return at once: its outcome is the same, only reached
+        sooner.
+        """
+        if demand.memory > self._mem_ports * ii:
+            return True
+        count = self.resources.count
+        return any(n > count(key) * ii for key, n in demand.ports.items())
+
     # ------------------------------------------------------------------ #
     def _attempt(
         self, graph: DepGraph, ii: int, counters: _Counters,
@@ -345,6 +403,7 @@ class SchedulerEngine:
             return graph, schedule
         priority = PriorityList(order)
         spill_state = SpillState()
+        demand = _SpillDemand(graph) if self._check_registers else None
         budget = self.budget_ratio * len(order)
         # Budget is replenished only for *net* graph growth (new spill or
         # communication nodes that were not there before): churn that
@@ -451,9 +510,13 @@ class SchedulerEngine:
                     counters.pressure_checks += 1
                     if schedule.pressure.any_over_capacity():
                         new_spill, _usage = check_and_insert_spill(
-                            graph, schedule, self.rf, self.machine, spill_state,
+                            graph, schedule, self.rf, spill_state,
                             victim_policy=self._victim_policy,
                         )
+                        if new_spill:
+                            demand.add(graph, new_spill)
+                            if self._spill_ports_exhausted(demand, schedule.ii):
+                                return None
                         for spill_node in new_spill:
                             priority.push(spill_node, after=node_id)
                         budget += award_growth()
@@ -491,12 +554,15 @@ class SchedulerEngine:
                 break
             counters.pressure_checks += 1
             new_spill, _usage = check_and_insert_spill(
-                graph, schedule, self.rf, self.machine, spill_state,
+                graph, schedule, self.rf, spill_state,
                 max_spills_per_call=4,
                 victim_policy=self._victim_policy,
             )
             if not new_spill:
                 return None  # pressure cannot be reduced at this II
+            demand.add(graph, new_spill)
+            if self._spill_ports_exhausted(demand, schedule.ii):
+                return None
             for spill_node in new_spill:
                 priority.push(spill_node)
             budget += award_growth()

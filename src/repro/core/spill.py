@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.ddg.graph import DepGraph
 from repro.ddg.operations import OpType
-from repro.machine.config import MachineConfig, RFConfig, RFKind
+from repro.machine.config import RFConfig
 from repro.core.banks import SHARED, bank_capacity, read_bank
 from repro.core.lifetimes import ValueLifetime, live_in_banks
 from repro.core.partial import PartialSchedule
@@ -222,7 +222,6 @@ def check_and_insert_spill(
     graph: DepGraph,
     schedule: PartialSchedule,
     rf: RFConfig,
-    machine: MachineConfig,
     state: SpillState,
     *,
     max_spills_per_call: int = 2,

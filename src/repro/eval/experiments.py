@@ -1011,7 +1011,7 @@ def run_ablation_policies(
 
     The "pressure checks" column sums process-local telemetry that is
     not serialized with results: it reads 0 for runs restored from
-    shards or a disk cache, or scheduled in worker processes.
+    shards or decoded from any other serialized payload.
     """
     jobs, cache, executor, store = _engine_context(session, jobs, cache)
     loops = _suite(n_loops, seed)

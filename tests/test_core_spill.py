@@ -49,7 +49,7 @@ class TestMemorySpill:
         clusters = {n: None if g.node(n).op.is_memory else 0 for n in times}
         schedule = make_schedule(g, rf, machine, times, clusters)
         state = SpillState()
-        new_nodes, usage = check_and_insert_spill(g, schedule, rf, machine, state)
+        new_nodes, usage = check_and_insert_spill(g, schedule, rf, state)
         assert usage[SHARED] > 8
         assert new_nodes, "an over-subscribed bank must trigger spill code"
         kinds = {g.node(n).op for n in new_nodes}
@@ -62,7 +62,7 @@ class TestMemorySpill:
         g, producers, sink, store, times = high_pressure_graph(n_values=4, gap=8)
         clusters = {n: None if g.node(n).op.is_memory else 0 for n in times}
         schedule = make_schedule(g, rf, machine, times, clusters)
-        new_nodes, _ = check_and_insert_spill(g, schedule, rf, machine, SpillState())
+        new_nodes, _ = check_and_insert_spill(g, schedule, rf, SpillState())
         assert new_nodes == []
 
     def test_unbounded_bank_never_spills(self, machine):
@@ -70,7 +70,7 @@ class TestMemorySpill:
         g, producers, sink, store, times = high_pressure_graph()
         clusters = {n: None if g.node(n).op.is_memory else 0 for n in times}
         schedule = make_schedule(g, rf, machine, times, clusters)
-        new_nodes, _ = check_and_insert_spill(g, schedule, rf, machine, SpillState())
+        new_nodes, _ = check_and_insert_spill(g, schedule, rf, SpillState())
         assert new_nodes == []
 
     def test_values_not_spilled_twice(self, machine):
@@ -79,9 +79,9 @@ class TestMemorySpill:
         clusters = {n: None if g.node(n).op.is_memory else 0 for n in times}
         schedule = make_schedule(g, rf, machine, times, clusters)
         state = SpillState()
-        first, _ = check_and_insert_spill(g, schedule, rf, machine, state)
+        first, _ = check_and_insert_spill(g, schedule, rf, state)
         spilled_after_first = set(state.spilled_values)
-        second, _ = check_and_insert_spill(g, schedule, rf, machine, state)
+        second, _ = check_and_insert_spill(g, schedule, rf, state)
         assert not (spilled_after_first & (state.spilled_values - spilled_after_first))
 
     def test_spill_rewires_dependences_through_memory(self, machine):
@@ -90,7 +90,7 @@ class TestMemorySpill:
         clusters = {n: None if g.node(n).op.is_memory else 0 for n in times}
         schedule = make_schedule(g, rf, machine, times, clusters)
         state = SpillState()
-        new_nodes, _ = check_and_insert_spill(g, schedule, rf, machine, state)
+        new_nodes, _ = check_and_insert_spill(g, schedule, rf, state)
         victim = next(iter(state.spilled_values))
         # The victim no longer feeds the sink directly.
         assert not g.has_edge(victim, sink)
@@ -117,7 +117,7 @@ class TestHierarchicalSpill:
         g, producers, sink, times, clusters = self._cluster_pressure_graph()
         schedule = make_schedule(g, rf, machine, times, clusters, ii=2)
         state = SpillState()
-        new_nodes, usage = check_and_insert_spill(g, schedule, rf, machine, state)
+        new_nodes, usage = check_and_insert_spill(g, schedule, rf, state)
         assert usage[0] > 6
         kinds = {g.node(n).op for n in new_nodes}
         assert kinds <= {OpType.STORER, OpType.LOADR}
@@ -133,7 +133,7 @@ class TestHierarchicalSpill:
         clusters = {n: (0 if c is None else c) for n, c in clusters.items()}
         schedule = make_schedule(g, rf, machine, times, clusters, ii=2)
         state = SpillState()
-        new_nodes, _ = check_and_insert_spill(g, schedule, rf, machine, state)
+        new_nodes, _ = check_and_insert_spill(g, schedule, rf, state)
         kinds = {g.node(n).op for n in new_nodes}
         assert OpType.STORE in kinds or OpType.LOAD in kinds
 
@@ -150,7 +150,7 @@ class TestHierarchicalSpill:
         clusters = {add: 0, store: None}
         schedule = make_schedule(g, rf, machine, times, clusters, ii=1)
         state = SpillState()
-        new_nodes, usage = check_and_insert_spill(g, schedule, rf, machine, state)
+        new_nodes, usage = check_and_insert_spill(g, schedule, rf, state)
         assert usage[0] > 2
         assert new_nodes, "invariants should be evicted to the shared bank"
         assert all(g.node(n).op is OpType.LOADR for n in new_nodes)

@@ -9,17 +9,22 @@ that the rest of the system relies on:
 * MaxLive accounting never loses a value and scales with loop-carried
   distances;
 * the modulo reservation table never oversubscribes a resource;
-* unrolling preserves the per-original-iteration work of a loop.
+* unrolling preserves the per-original-iteration work of a loop;
+* the engine's spill-port exit only cuts short II attempts that fail
+  anyway.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import MirsHC, validate_schedule
+from repro.core.engine import SchedulerEngine
 from repro.core.lifetimes import register_usage
 from repro.core.mrt import ModuloReservationTable
 from repro.core.banks import SHARED
@@ -28,6 +33,7 @@ from repro.ddg.analysis import heights, rec_mii
 from repro.hwmodel import scaled_machine
 from repro.machine import MachineConfig, RFConfig, ResourceModel, baseline_machine, config_by_name
 from repro.machine.resources import ResourceKind, ResourceUse
+from repro.verify.corpus import load_case
 from repro.workloads.generator import PROFILES, generate_loop
 
 MACHINE = MachineConfig()
@@ -39,13 +45,16 @@ profile_names = st.sampled_from(sorted(PROFILES))
 seeds = st.integers(min_value=0, max_value=10_000)
 
 
+def generated_loop(profile: str, seed: int):
+    """The generated loop :func:`random_loops` draws for ``(profile, seed)``."""
+    rng = np.random.default_rng(seed)
+    return generate_loop(rng, PROFILES[profile], index=0, name=f"hyp_{seed}")
+
+
 @st.composite
 def random_loops(draw):
     """A random generated loop (dependence graph + metadata)."""
-    profile = PROFILES[draw(profile_names)]
-    seed = draw(seeds)
-    rng = np.random.default_rng(seed)
-    return generate_loop(rng, profile, index=0, name=f"hyp_{seed}")
+    return generated_loop(draw(profile_names), draw(seeds))
 
 
 @st.composite
@@ -319,7 +328,7 @@ class TestPressureTrackerProperties:
                 cleanup_after_eject(graph, schedule, node_id)
             elif action == 2:
                 # Run the spill check (may insert spill code = graph edits).
-                check_and_insert_spill(graph, schedule, rf, machine, spill_state)
+                check_and_insert_spill(graph, schedule, rf, spill_state)
             oracle()
 
 
@@ -337,3 +346,90 @@ class TestSchedulerProperties:
         assert result.success
         assert result.ii >= result.mii
         validate_schedule(result, machine, rf)
+
+
+# --------------------------------------------------------------------------- #
+# The engine's spill-port exit cuts only doomed attempts short
+# --------------------------------------------------------------------------- #
+CORPUS_DIR = Path(__file__).parent / "corpus"
+
+
+def spy_on_spill_port_exit(engine: SchedulerEngine, *, cut: bool):
+    """Record, per II attempt, whether the spill-port exit fired and the outcome.
+
+    Returns a list that gets one ``(ii, fired, failed)`` entry per
+    attempt.  With ``cut=False`` the exit still reports each firing but
+    never ends the attempt, so the attempt runs to its natural end.
+    """
+    attempts = []
+    fired = [False]
+    exhausted = engine._spill_ports_exhausted
+    attempt = engine._try
+
+    def spy_exhausted(demand, ii):
+        verdict = exhausted(demand, ii)
+        fired[0] = fired[0] or verdict
+        return verdict and cut
+
+    def spy_try(loop, ii, counters, order):
+        fired[0] = False
+        outcome = attempt(loop, ii, counters, order)
+        attempts.append((ii, fired[0], outcome is None))
+        return outcome
+
+    engine._spill_ports_exhausted = spy_exhausted
+    engine._try = spy_try
+    return attempts
+
+
+def _schedule_payload(result) -> str:
+    payload = result.to_dict()
+    payload["scheduling_time_s"] = 0.0
+    return repr(payload)
+
+
+class TestSpillPortExit:
+    @given(
+        random_loops(),
+        st.sampled_from(["4C16S16", "8C16S16", "4C32", "S64"]),
+        st.sampled_from(["mirs_hc", "non_iterative"]),
+    )
+    # Loops on which counting communication LoadRs as spill demand (an
+    # unsound exit) cuts short an attempt that succeeds when run to its end.
+    @example(generated_loop("balanced", 35), "4C16S16", "mirs_hc")
+    @example(generated_loop("balanced", 18), "8C16S16", "mirs_hc")
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_exit_fires_only_in_attempts_that_fail_anyway(
+        self, loop, config_name, policy
+    ):
+        rf = config_by_name(config_name)
+        machine, _ = scaled_machine(baseline_machine(), rf)
+        # A lower II ceiling only drops attempts above it, and keeps cheap
+        # the loops that non_iterative fails at every II.
+        engine = SchedulerEngine(machine, rf, policy=policy, max_ii=64)
+        attempts = spy_on_spill_port_exit(engine, cut=False)
+        engine.schedule_loop(loop)
+        for ii, fired, failed in attempts:
+            assert failed or not fired, (
+                f"the spill-port exit fired at II={ii}, "
+                f"but the attempt succeeded when run to its end"
+            )
+
+    def test_exit_fires_on_a_spilling_corpus_case_and_changes_nothing(self):
+        case = load_case(CORPUS_DIR / "spill_memory_bound_8_4C16S16.json")
+        machine, _ = scaled_machine(case.machine, case.rf)
+        outcomes = {}
+        for cut in (True, False):
+            engine = SchedulerEngine(
+                machine, case.rf, policy=case.policy,
+                budget_ratio=case.budget_ratio,
+            )
+            attempts = spy_on_spill_port_exit(engine, cut=cut)
+            outcomes[cut] = (engine.schedule_loop(case.loop), attempts)
+        cut_result, cut_attempts = outcomes[True]
+        full_result, full_attempts = outcomes[False]
+        assert any(fired for _ii, fired, _failed in cut_attempts)
+        assert cut_attempts == full_attempts
+        assert cut_result.attempted_iis == full_result.attempted_iis
+        assert _schedule_payload(cut_result) == _schedule_payload(full_result)
