@@ -55,6 +55,17 @@ from repro.core.spill import SpillState, check_and_insert_spill
 __all__ = ["SchedulerEngine"]
 
 
+def _release(schedule: PartialSchedule) -> None:
+    """Detach a finished attempt's pressure tracker from its graph.
+
+    The tracker observes the graph it tracks, so the two form a reference
+    cycle.  Breaking it lets reference counting free a dropped attempt at
+    once, and keeps the tracker out of a result that keeps the graph.
+    """
+    if schedule.pressure is not None:
+        schedule.pressure.detach()
+
+
 class _Counters:
     """Per-loop instrumentation accumulated across II attempts."""
 
@@ -235,6 +246,7 @@ class SchedulerEngine:
                 attempt = self._try(loop, mid, counters, order)
                 if attempt is not None:
                     hi = mid
+                    _release(best[1][1])
                     best = (mid, attempt)
                 else:
                     lo = mid
@@ -385,13 +397,17 @@ class SchedulerEngine:
             graph, ii, self.machine, self.rf, self.resources,
             track_pressure=self._check_registers,
         )
+        outcome = None
         try:
-            return self._run_attempt(graph, schedule, counters, order)
+            outcome = self._run_attempt(graph, schedule, counters, order)
+            return outcome
         finally:
             # Harvest per-attempt MRT instrumentation on every exit path
             # (success, infeasible return, ScheduleInfeasible raise).
             counters.slot_probes += schedule.mrt.n_probes
             counters.probe_memo_hits += schedule.mrt.n_memo_hits
+            if outcome is None:
+                _release(schedule)
 
     def _run_attempt(
         self, graph: DepGraph, schedule: PartialSchedule, counters: _Counters,
@@ -611,10 +627,7 @@ class SchedulerEngine:
             )
         if schedule.pressure is not None:
             usage = schedule.pressure.usage()
-            # The graph outlives the schedule inside the ScheduleResult
-            # (and may be pickled by the evaluation cache): stop
-            # observing it so the tracker dies with the attempt.
-            schedule.pressure.detach()
+            _release(schedule)
             n_full_sweeps = 0
         else:
             # Unbounded banks: no tracker ran, so the reported usage
@@ -628,6 +641,7 @@ class SchedulerEngine:
         n_spill_mem = sum(
             1 for op in graph.memory_operations() if op.is_spill
         )
+        graph.drop_snapshots()
         return ScheduleResult(
             loop_name=loop.name,
             config_name=self.rf.name,

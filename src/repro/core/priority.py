@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Dict, List, Sequence, Set
 
-from repro.ddg.analysis import recurrence_components, rec_mii, heights, depths
+from repro.ddg.analysis import heights_and_depths, min_cycle_ii, recurrence_components
 from repro.ddg.graph import DepGraph
 from repro.ddg.operations import OpType
 
@@ -39,39 +39,52 @@ LatencyFn = Callable[[str], int]
 
 
 def _component_rec_mii(graph: DepGraph, component: Sequence[int], latency_of: LatencyFn) -> int:
-    """RecMII of a single strongly connected component."""
-    # Build a throwaway subgraph restricted to the component.
-    sub = DepGraph()
-    mapping: Dict[int, int] = {}
+    """RecMII of a single strongly connected component, taken on its own.
+
+    The component is searched as if it were the whole loop: over
+    ``[1, 1 + sum of its members' latencies]``, with every producer at
+    its machine latency (``latency_override`` is ignored here).
+    """
+    members = set(component)
+    edges = []
+    upper = 1
     for node_id in component:
-        node = graph.node(node_id)
-        mapping[node_id] = sub.add_node(node.op, name=node.name)
-    for node_id in component:
-        for edge in graph.out_edges(node_id):
-            if edge.dst in mapping:
-                sub.add_edge(mapping[node_id], mapping[edge.dst],
-                             distance=edge.distance, kind=edge.kind)
-    return rec_mii(sub, latency_of)
+        op = graph.node(node_id).op
+        latency = 0 if op.is_pseudo else latency_of(op.mnemonic)
+        upper += latency
+        for edge in graph.iter_out_edges(node_id):
+            if edge.dst not in members:
+                continue
+            if edge.kind == "flow":
+                weight = latency
+            elif edge.kind == "mem":
+                weight = 1
+            else:
+                weight = 0
+            edges.append((node_id, edge.dst, weight, edge.distance))
+    return min_cycle_ii(component, edges, 1, upper)
 
 
 def order_nodes(graph: DepGraph, latency_of: LatencyFn) -> List[int]:
     """Scheduling order (most critical first) of the schedulable nodes.
 
     Live-in pseudo nodes are excluded: they consume no resources and are
-    implicitly available from cycle 0.
+    implicitly available from cycle 0.  Cost: O((n + e) log n) plus one
+    RecMII search per recurrence.
     """
-    schedulable = [n.node_id for n in graph.nodes() if n.op is not OpType.LIVE_IN]
+    schedulable = _schedulable(graph)
     if not schedulable:
         return []
     schedulable_set = set(schedulable)
 
-    height = heights(graph, latency_of)
-    depth = depths(graph, latency_of)
+    height, depth = heights_and_depths(graph, latency_of)
 
     # 1. Recurrences first, most critical recurrence first.
     ordered: List[int] = []
     placed: Set[int] = set()
-    components = [c for c in recurrence_components(graph) if set(c) & schedulable_set]
+    components = [
+        c for c in recurrence_components(graph) if not schedulable_set.isdisjoint(c)
+    ]
     scored = sorted(
         components,
         key=lambda c: (-_component_rec_mii(graph, c, latency_of), -max(height[n] for n in c)),
@@ -84,24 +97,38 @@ def order_nodes(graph: DepGraph, latency_of: LatencyFn) -> List[int]:
         ordered.extend(members)
         placed.update(members)
 
-    # 2. Remaining nodes: neighbour-first expansion from the ordered set.
-    remaining = [n for n in schedulable if n not in placed]
-    # Max-heap keyed on (adjacent-to-placed, height, -depth).
-    def key(n: int, adjacent: bool) -> tuple:
-        return (-int(adjacent), -height[n], depth[n], n)
+    # 2. Remaining nodes: neighbour-first expansion from the ordered set,
+    # picking the least key (-adjacent, -height, depth, n).  Adjacency to
+    # the ordered set only ever turns on, and an adjacent key sorts before
+    # every non-adjacent one, so a lazy heap picks what a full re-sort
+    # would: a node that becomes adjacent is pushed again with its new
+    # key, and entries of nodes already ordered are skipped.
+    adjacent: Set[int] = set()
 
-    while remaining:
-        adjacency = {
-            n: any(
-                (m in placed)
-                for m in (graph.successors(n) + graph.predecessors(n))
-            )
-            for n in remaining
-        }
-        remaining.sort(key=lambda n: key(n, adjacency[n]))
-        chosen = remaining.pop(0)
+    def mark_neighbours(node: int) -> List[int]:
+        fresh = []
+        for m in graph.successors(node) + graph.predecessors(node):
+            if m in schedulable_set and m not in placed and m not in adjacent:
+                adjacent.add(m)
+                fresh.append(m)
+        return fresh
+
+    for node in placed:
+        mark_neighbours(node)
+    heap = [
+        (-1 if n in adjacent else 0, -height[n], depth[n], n)
+        for n in schedulable
+        if n not in placed
+    ]
+    heapq.heapify(heap)
+    while heap:
+        chosen = heapq.heappop(heap)[3]
+        if chosen in placed:
+            continue
         ordered.append(chosen)
         placed.add(chosen)
+        for m in mark_neighbours(chosen):
+            heapq.heappush(heap, (-1, -height[m], depth[m], m))
 
     return ordered
 
@@ -121,8 +148,7 @@ def order_nodes_by_height(graph: DepGraph, latency_of: LatencyFn) -> List[int]:
     schedulable = _schedulable(graph)
     if not schedulable:
         return []
-    height = heights(graph, latency_of)
-    depth = depths(graph, latency_of)
+    height, depth = heights_and_depths(graph, latency_of)
     return sorted(schedulable, key=lambda n: (-height[n], depth[n], n))
 
 
@@ -135,8 +161,7 @@ def order_nodes_asap(graph: DepGraph, latency_of: LatencyFn) -> List[int]:
     schedulable = _schedulable(graph)
     if not schedulable:
         return []
-    height = heights(graph, latency_of)
-    depth = depths(graph, latency_of)
+    height, depth = heights_and_depths(graph, latency_of)
     return sorted(schedulable, key=lambda n: (depth[n], -height[n], n))
 
 

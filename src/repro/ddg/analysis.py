@@ -21,19 +21,22 @@ communication-bound loops).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ddg.graph import DepGraph
 from repro.machine.resources import ResourceModel
 
 __all__ = [
     "strongly_connected_components",
+    "recurrence_components",
     "rec_mii",
+    "min_cycle_ii",
     "res_mii_components",
     "compute_mii",
     "MIIBreakdown",
     "heights",
     "depths",
+    "heights_and_depths",
     "critical_path_length",
 ]
 
@@ -41,104 +44,65 @@ LatencyFn = Callable[[str], int]
 
 
 # --------------------------------------------------------------------------- #
-# Strongly connected components (iterative Tarjan)
+# Recurrences
 # --------------------------------------------------------------------------- #
 def strongly_connected_components(graph: DepGraph) -> List[List[int]]:
     """Strongly connected components of the graph (Tarjan, iterative).
 
-    Returned in reverse topological order of the condensation; components
-    of size one without a self-edge are included (callers filter them out
-    when looking for recurrences).
+    See :meth:`repro.ddg.graph.DepGraph.strongly_connected_components`.
     """
-    index_counter = 0
-    index: Dict[int, int] = {}
-    lowlink: Dict[int, int] = {}
-    on_stack: Dict[int, bool] = {}
-    stack: List[int] = []
-    components: List[List[int]] = []
-
-    for root in graph.node_ids():
-        if root in index:
-            continue
-        # Iterative DFS with an explicit work stack of (node, successor iterator).
-        work = [(root, iter(graph.successors(root)))]
-        index[root] = lowlink[root] = index_counter
-        index_counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            node, successors = work[-1]
-            advanced = False
-            for succ in successors:
-                if succ not in index:
-                    index[succ] = lowlink[succ] = index_counter
-                    index_counter += 1
-                    stack.append(succ)
-                    on_stack[succ] = True
-                    work.append((succ, iter(graph.successors(succ))))
-                    advanced = True
-                    break
-                if on_stack.get(succ, False):
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
-    return components
+    return graph.strongly_connected_components()
 
 
 def recurrence_components(graph: DepGraph) -> List[List[int]]:
-    """SCCs that actually contain a cycle (recurrences of the loop)."""
-    recurrences = []
-    for component in strongly_connected_components(graph):
-        if len(component) > 1:
-            recurrences.append(component)
-        else:
-            node = component[0]
-            if graph.has_edge(node, node):
-                recurrences.append(component)
-    return recurrences
+    """SCCs that actually contain a cycle (recurrences of the loop).
+
+    Memoized on the graph (:meth:`repro.ddg.graph.DepGraph.recurrence_components`):
+    one Tarjan pass serves RecMII, the ordering and every unchanged copy.
+    """
+    return graph.recurrence_components()
 
 
 # --------------------------------------------------------------------------- #
 # RecMII
 # --------------------------------------------------------------------------- #
-def _has_positive_cycle(
-    graph: DepGraph, nodes: Sequence[int], ii: int, latency_of: LatencyFn
-) -> bool:
-    """True if some cycle within ``nodes`` has positive weight at the given II.
+#: A weighted edge of one recurrence: ``(src, dst, latency, distance)``.
+CycleEdge = Tuple[int, int, int, int]
+
+
+def _has_positive_cycle(nodes: Sequence[int], edges: Sequence[CycleEdge], ii: int) -> bool:
+    """True if some cycle over ``edges`` has positive weight at the given II.
 
     Edge weight is ``latency - II * distance``; a positive-weight cycle
     means the II is too small for that recurrence.  Detection is
-    Bellman-Ford-style longest-path relaxation restricted to the component.
+    Bellman-Ford-style longest-path relaxation: without a positive cycle
+    it settles within ``len(nodes) - 1`` rounds in any edge order.
     """
-    node_set = set(nodes)
-    dist = {n: 0 for n in nodes}
-    for iteration in range(len(nodes)):
+    dist = dict.fromkeys(nodes, 0)
+    for _round in range(len(nodes)):
         changed = False
-        for src in nodes:
-            base = dist[src]
-            for edge in graph.out_edges(src):
-                if edge.dst not in node_set:
-                    continue
-                weight = graph.edge_latency(edge, latency_of) - ii * edge.distance
-                if base + weight > dist[edge.dst]:
-                    dist[edge.dst] = base + weight
-                    changed = True
+        for src, dst, latency, distance in edges:
+            reach = dist[src] + latency - ii * distance
+            if reach > dist[dst]:
+                dist[dst] = reach
+                changed = True
         if not changed:
             return False
     return True
+
+
+def min_cycle_ii(nodes: Sequence[int], edges: Sequence[CycleEdge], lo: int, hi: int) -> int:
+    """Smallest II in ``[lo, hi]`` with no positive cycle over ``edges``.
+
+    ``hi`` is returned when every smaller II has one.
+    """
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _has_positive_cycle(nodes, edges, mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def rec_mii(graph: DepGraph, latency_of: LatencyFn) -> int:
@@ -153,15 +117,14 @@ def rec_mii(graph: DepGraph, latency_of: LatencyFn) -> int:
             upper += latency_of(op.op.mnemonic)
     best = 1
     for component in recurrences:
-        lo, hi = best, upper
-        # Binary search for the smallest II with no positive cycle.
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _has_positive_cycle(graph, component, mid, latency_of):
-                lo = mid + 1
-            else:
-                hi = mid
-        best = max(best, lo)
+        members = set(component)
+        edges = [
+            (edge.src, edge.dst, graph.edge_latency(edge, latency_of), edge.distance)
+            for node in component
+            for edge in graph.iter_out_edges(node)
+            if edge.dst in members
+        ]
+        best = min_cycle_ii(component, edges, best, upper)
     return best
 
 
@@ -252,7 +215,7 @@ def _topological_order(graph: DepGraph) -> List[int]:
     while ready:
         node = ready.pop()
         order.append(node)
-        for edge in graph.out_edges(node):
+        for edge in graph.iter_out_edges(node):
             if edge.distance != 0:
                 continue
             indegree[edge.dst] -= 1
@@ -266,37 +229,48 @@ def _topological_order(graph: DepGraph) -> List[int]:
     return order
 
 
+def heights_and_depths(
+    graph: DepGraph, latency_of: LatencyFn
+) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """Heights and depths of every node from one topological walk.
+
+    The height is the longest latency-weighted path from a node to any
+    sink, the depth the longest path from any source to it, both over the
+    zero-distance skeleton.  Every ordering policy of the scheduler reads
+    both, so the skeleton is walked and weighted once for the pair.
+    """
+    order = _topological_order(graph)
+    height: Dict[int, int] = {n: 0 for n in graph.node_ids()}
+    depth: Dict[int, int] = dict(height)
+    skeleton: List[List[Tuple[int, int]]] = []
+    for node in order:
+        out = [
+            (edge.dst, graph.edge_latency(edge, latency_of))
+            for edge in graph.iter_out_edges(node)
+            if edge.distance == 0
+        ]
+        skeleton.append(out)
+        start = depth[node]
+        for dst, latency in out:
+            if start + latency > depth[dst]:
+                depth[dst] = start + latency
+    for node, out in zip(reversed(order), reversed(skeleton)):
+        height[node] = max((latency + height[dst] for dst, latency in out), default=0)
+    return height, depth
+
+
 def heights(graph: DepGraph, latency_of: LatencyFn) -> Dict[int, int]:
     """Longest latency-weighted path from each node to any sink.
 
     Computed over the zero-distance skeleton; used as the primary priority
     of the scheduler's ordering phase (critical operations first).
     """
-    order = _topological_order(graph)
-    height: Dict[int, int] = {n: 0 for n in graph.node_ids()}
-    for node in reversed(order):
-        best = 0
-        for edge in graph.out_edges(node):
-            if edge.distance != 0:
-                continue
-            latency = graph.edge_latency(edge, latency_of)
-            best = max(best, latency + height[edge.dst])
-        height[node] = best
-    return height
+    return heights_and_depths(graph, latency_of)[0]
 
 
 def depths(graph: DepGraph, latency_of: LatencyFn) -> Dict[int, int]:
     """Longest latency-weighted path from any source to each node."""
-    order = _topological_order(graph)
-    depth: Dict[int, int] = {n: 0 for n in graph.node_ids()}
-    for node in order:
-        for edge in graph.out_edges(node):
-            if edge.distance != 0:
-                continue
-            latency = graph.edge_latency(edge, latency_of)
-            if depth[node] + latency > depth[edge.dst]:
-                depth[edge.dst] = depth[node] + latency
-    return depth
+    return heights_and_depths(graph, latency_of)[1]
 
 
 def critical_path_length(graph: DepGraph, latency_of: LatencyFn) -> int:

@@ -117,6 +117,9 @@ class DepGraph:
         #: fresh list each call used to build.
         self._flow_succ: Dict[int, List[Tuple[int, Dependence]]] = {}
         self._flow_pred: Dict[int, List[Tuple[int, Dependence]]] = {}
+        #: Memo of :meth:`recurrence_components`; ``None`` until computed
+        #: and again after any structural mutation.
+        self._recurrences: Optional[List[List[int]]] = None
 
     # ------------------------------------------------------------------ #
     # Mutation listeners
@@ -165,6 +168,7 @@ class DepGraph:
             if node_id in self._nodes:
                 raise ValueError(f"node id {node_id} is already in the graph")
             self._next_id = max(self._next_id, node_id + 1)
+        self._recurrences = None
         self._nodes[node_id] = Operation(
             node_id=node_id,
             op=op,
@@ -197,6 +201,7 @@ class DepGraph:
         self._pred[dst][src] = edge
         self._flow_succ.pop(src, None)
         self._flow_pred.pop(dst, None)
+        self._recurrences = None
         if self._listeners:
             for listener in self._listeners:
                 listener.on_edge_added(edge)
@@ -207,6 +212,7 @@ class DepGraph:
         self._pred[dst].pop(src, None)
         self._flow_succ.pop(src, None)
         self._flow_pred.pop(dst, None)
+        self._recurrences = None
         if edge is not None and self._listeners:
             for listener in self._listeners:
                 listener.on_edge_removed(edge)
@@ -222,6 +228,7 @@ class DepGraph:
         del self._nodes[node_id]
         self._flow_succ.pop(node_id, None)
         self._flow_pred.pop(node_id, None)
+        self._recurrences = None
         if self._listeners:
             # The dense index is released only after the listeners ran:
             # index-keyed observers (the array pressure tracker) need it to
@@ -231,21 +238,46 @@ class DepGraph:
         self._free_indices.append(self._node_index.pop(node_id))
 
     def copy(self) -> "DepGraph":
-        """Deep copy of the graph (fresh Operation objects, same ids)."""
+        """Deep copy of the graph (fresh Operation objects, same ids).
+
+        The copy iterates nodes and successors in the original's order,
+        so it shares the recurrence memo until either graph changes.
+        Flow-adjacency snapshots and listeners are not copied.
+        """
         clone = DepGraph()
         clone._next_id = self._next_id
-        for node_id, op in self._nodes.items():
-            clone._nodes[node_id] = replace(op)
-            clone._succ[node_id] = {}
-            clone._pred[node_id] = {}
+        # Positional construction: ~6x cheaper than dataclasses.replace,
+        # and the scheduler copies the loop graph once per II attempt.
+        clone._nodes = {
+            node_id: Operation(
+                op.node_id, op.op, op.name, op.mem_ref, op.is_spill,
+                op.is_inserted, op.inserted_for, op.home_cluster,
+                op.latency_override,
+            )
+            for node_id, op in self._nodes.items()
+        }
+        clone._succ = {src: dict(edges) for src, edges in self._succ.items()}
+        # Predecessor maps are filled in successor order, as a pickle
+        # round trip fills them, so every copy lists predecessors alike.
+        pred: Dict[int, Dict[int, Dependence]] = {node_id: {} for node_id in self._nodes}
         for src, edges in self._succ.items():
             for dst, edge in edges.items():
-                clone._succ[src][dst] = edge
-                clone._pred[dst][src] = edge
+                pred[dst][src] = edge
+        clone._pred = pred
         clone._node_index = dict(self._node_index)
         clone._free_indices = list(self._free_indices)
         clone._index_size = self._index_size
+        clone._recurrences = self._recurrences
         return clone
+
+    def drop_snapshots(self) -> None:
+        """Forget the flow-adjacency snapshots; they rebuild on first use.
+
+        The scheduler calls this when it hands a graph over to a result,
+        so a kept result does not also keep the attempt's per-node caches.
+        """
+        self._flow_succ = {}
+        self._flow_pred = {}
 
     # ------------------------------------------------------------------ #
     # Pickling
@@ -260,7 +292,8 @@ class DepGraph:
         and a per-node ``Operation`` dataclass dict.  Listeners are
         deliberately dropped: they track one live graph instance (e.g. a
         scheduler's pressure tracker) and must never travel across a
-        process boundary with a result.
+        process boundary with a result.  Snapshots and the recurrence
+        memo are dropped too; they rebuild on first use.
         """
         nodes = [
             (
@@ -292,6 +325,7 @@ class DepGraph:
         self._index_size = 0
         self._flow_succ = {}
         self._flow_pred = {}
+        self._recurrences = None
         for (node_id, op, name, mem_ref, is_spill, is_inserted,
              inserted_for, home_cluster, latency_override) in nodes:
             operation = Operation(
@@ -483,6 +517,80 @@ class DepGraph:
             ]
             self._flow_pred[node_id] = cached
         return cached
+
+    # ------------------------------------------------------------------ #
+    # Recurrences
+    # ------------------------------------------------------------------ #
+    def strongly_connected_components(self) -> List[List[int]]:
+        """Strongly connected components of the graph (Tarjan, iterative).
+
+        Returned in reverse topological order of the condensation; components
+        of size one without a self-edge are included (callers filter them out
+        when looking for recurrences).
+        """
+        index_counter = 0
+        index: Dict[int, int] = {}
+        lowlink: Dict[int, int] = {}
+        on_stack: Dict[int, bool] = {}
+        stack: List[int] = []
+        components: List[List[int]] = []
+        succ = self._succ
+
+        for root in self._nodes:
+            if root in index:
+                continue
+            # Iterative DFS with an explicit work stack of (node, successor iterator).
+            work = [(root, iter(succ[root]))]
+            index[root] = lowlink[root] = index_counter
+            index_counter += 1
+            stack.append(root)
+            on_stack[root] = True
+            while work:
+                node, successors = work[-1]
+                advanced = False
+                for nxt in successors:
+                    if nxt not in index:
+                        index[nxt] = lowlink[nxt] = index_counter
+                        index_counter += 1
+                        stack.append(nxt)
+                        on_stack[nxt] = True
+                        work.append((nxt, iter(succ[nxt])))
+                        advanced = True
+                        break
+                    if on_stack.get(nxt, False):
+                        lowlink[node] = min(lowlink[node], index[nxt])
+                if advanced:
+                    continue
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack[member] = False
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+        return components
+
+    def recurrence_components(self) -> List[List[int]]:
+        """SCCs that actually contain a cycle (recurrences of the loop).
+
+        Memoized until the next :meth:`add_node`, :meth:`add_edge`,
+        :meth:`remove_edge` or :meth:`remove_node`; :meth:`copy` shares
+        the memo.  The returned lists are shared, so callers must not
+        mutate them.
+        """
+        if self._recurrences is None:
+            self._recurrences = [
+                component
+                for component in self.strongly_connected_components()
+                if len(component) > 1 or self.has_edge(component[0], component[0])
+            ]
+        return self._recurrences
 
     def structural_signature(self) -> Tuple:
         """A hashable canonical form of the graph.

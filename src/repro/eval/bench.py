@@ -78,9 +78,10 @@ def _config_pass(
         "sum_ii": sum(run.result.ii for run in runs if run.result.success),
         "n_failed": sum(1 for run in runs if not run.result.success),
         # Scheduler-level reuse telemetry (informational, never gated --
-        # see _walk_counters).  The counters are process-local and not
-        # serialized with results, so with jobs > 1 (worker processes) or
-        # a warm cache/store (no scheduling at all) they read as zero.
+        # see _walk_counters).  The counters ride on each result but are
+        # not serialized: pool workers (jobs > 1) return pickled runs that
+        # keep them, while runs restored through a serialize round trip
+        # (shards, the service, the fleet) read zero.
         "slot_probes": sum(run.result.n_slot_probes for run in runs),
         "probe_memo_hits": sum(run.result.n_probe_memo_hits for run in runs),
         "analysis_reuses": sum(run.result.n_analysis_reuses for run in runs),

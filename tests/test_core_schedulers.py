@@ -174,3 +174,29 @@ class TestSuiteIntegration:
             result = scheduler.schedule_loop(loop)
             assert result.success, f"{loop.name} failed on {config_name}"
             validate_schedule(result, machine, rf)
+
+
+class TestAttemptLifetime:
+    def test_dropped_attempts_are_freed_by_reference_counting(self):
+        """Failed and superseded attempts leave no cyclic garbage.
+
+        A pressure tracker observes its graph, so an attempt is a
+        reference cycle until the engine detaches it; the small tier on
+        4C16S16 fails and bisects enough attempts to expose a missed one.
+        """
+        import gc
+
+        from repro.core.engine import SchedulerEngine
+        from repro.workloads import build_workbench
+
+        loops = build_workbench("small")
+        machine, rf = scaled("4C16S16")
+        engine = SchedulerEngine(machine, rf)
+        gc.collect()
+        gc.disable()
+        try:
+            results = [engine.schedule_loop(loop) for loop in loops]
+            assert sum(len(r.attempted_iis) for r in results) > len(loops)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

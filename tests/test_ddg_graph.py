@@ -278,3 +278,138 @@ class TestDenseIndices:
         indices = sorted(clone.dense_index(n) for n in clone.node_ids())
         assert indices == list(range(len(clone)))
         assert clone.dense_index_bound() == len(clone)
+
+
+def build_cycle_graph():
+    """mul -> add -> mul (distance 1), plus a store hanging off add."""
+    g = DepGraph()
+    mul = g.add_node(OpType.FMUL)
+    add = g.add_node(OpType.FADD)
+    store = g.add_node(OpType.STORE, mem_ref=MemRef("y"))
+    g.add_edge(mul, add)
+    g.add_edge(add, mul, distance=1)
+    g.add_edge(add, store)
+    return g, (mul, add, store)
+
+
+class TestRecurrenceMemo:
+    def test_memo_is_reused_until_a_mutation(self):
+        g, (mul, add, _) = build_cycle_graph()
+        first = g.recurrence_components()
+        assert sorted(first[0]) == sorted([mul, add])
+        assert g.recurrence_components() is first
+
+    def test_add_edge_clears_the_memo(self):
+        g, (_, add, store) = build_cycle_graph()
+        g.remove_edge(add, store)
+        assert len(g.recurrence_components()) == 1
+        g.add_edge(store, store, distance=1)   # makes a second cycle
+        assert g._recurrences is None
+        assert [store] in g.recurrence_components()
+
+    def test_remove_edge_clears_the_memo(self):
+        g, (mul, add, _) = build_cycle_graph()
+        assert g.recurrence_components()
+        g.remove_edge(add, mul)   # breaks the only cycle
+        assert g._recurrences is None
+        assert g.recurrence_components() == []
+
+    def test_remove_node_clears_the_memo(self):
+        g, (mul, _, _) = build_cycle_graph()
+        assert g.recurrence_components()
+        g.remove_node(mul)   # breaks the only cycle
+        assert g._recurrences is None
+        assert g.recurrence_components() == []
+
+    def test_add_node_clears_the_memo(self):
+        g, (mul, add, _) = build_cycle_graph()
+        g.remove_edge(add, mul)
+        assert g.recurrence_components() == []
+        loop_back = g.add_node(OpType.FADD)
+        assert g._recurrences is None
+        g.add_edge(add, loop_back)
+        g.add_edge(loop_back, mul, distance=1)   # closes a cycle through the new node
+        assert sorted(g.recurrence_components()[0]) == sorted([mul, add, loop_back])
+
+    def test_copy_shares_the_memo_until_the_copy_changes(self):
+        g, (mul, add, _) = build_cycle_graph()
+        memo = g.recurrence_components()
+        clone = g.copy()
+        assert clone._recurrences is memo
+        assert clone.recurrence_components() == clone.strongly_connected_components()[-1:]
+        clone.remove_edge(add, mul)
+        assert clone.recurrence_components() == []
+        assert g.recurrence_components() is memo
+
+    def test_pickling_drops_the_memo(self):
+        import pickle
+
+        g, _ = build_cycle_graph()
+        memo = g.recurrence_components()
+        clone = pickle.loads(pickle.dumps(g))
+        assert clone._recurrences is None
+        assert clone.recurrence_components() == memo
+
+
+class TestCopyFidelity:
+    def test_every_operation_field_survives_copy(self):
+        import dataclasses
+
+        from repro.ddg.graph import Operation
+
+        values = {
+            "node_id": 0,
+            "op": OpType.LOADR,
+            "name": "copied",
+            "mem_ref": MemRef("x", stride_bytes=16, offset_bytes=24),
+            "is_spill": True,
+            "is_inserted": True,
+            "inserted_for": 7,
+            "home_cluster": 2,
+            "latency_override": 17,
+        }
+        fields = dataclasses.fields(Operation)
+        # A new field must be added here, and so to DepGraph.copy.
+        assert {f.name for f in fields} == set(values)
+        g = DepGraph()
+        node_id = g.add_node(OpType.FADD)
+        original = g.node(node_id)
+        for f in fields:
+            default = f.default if f.default is not dataclasses.MISSING else None
+            if f.name != "node_id":
+                assert values[f.name] != default, f.name
+                setattr(original, f.name, values[f.name])
+        copied = g.copy().node(node_id)
+        assert copied is not original
+        assert {f.name: getattr(copied, f.name) for f in fields} == values
+
+    def test_copy_keeps_successor_and_predecessor_order(self):
+        g = DepGraph()
+        a, b, c = (g.add_node(OpType.FADD) for _ in range(3))
+        g.add_edge(c, b)
+        g.add_edge(a, b)
+        g.add_edge(b, a, distance=1)
+        clone = g.copy()
+        for node_id in g.node_ids():
+            assert clone.successors(node_id) == g.successors(node_id)
+        # Predecessors are rebuilt in successor (node) order.
+        assert clone.predecessors(b) == [a, c]
+
+
+class TestResultGraph:
+    def test_result_graph_holds_no_listeners_or_snapshots(self):
+        from repro.core import MirsHC
+        from repro.hwmodel import scaled_machine
+        from repro.machine import baseline_machine, config_by_name
+        from repro.workloads import build_kernel
+
+        rf = config_by_name("4C16S16")
+        machine, _ = scaled_machine(baseline_machine(), rf)
+        result = MirsHC(machine, rf).schedule_loop(build_kernel("daxpy"))
+        assert result.success and result.n_comm_ops > 0
+        graph = result.graph
+        assert graph._listeners == []
+        assert graph._flow_succ == {} and graph._flow_pred == {}
+        # The snapshots rebuild on first use.
+        producer = next(op.node_id for op in graph.nodes() if op.op is OpType.LOAD)
+        assert graph.flow_consumers(producer)
