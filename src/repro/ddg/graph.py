@@ -246,8 +246,9 @@ class DepGraph:
         """
         clone = DepGraph()
         clone._next_id = self._next_id
-        # Positional construction: ~6x cheaper than dataclasses.replace,
-        # and the scheduler copies the loop graph once per II attempt.
+        # Positional construction keeps this cheap: the scheduler copies
+        # the loop graph once per II attempt.  A test checks that every
+        # Operation field survives the copy.
         clone._nodes = {
             node_id: Operation(
                 op.node_id, op.op, op.name, op.mem_ref, op.is_spill,

@@ -335,8 +335,7 @@ class TestRecurrenceMemo:
         g, (mul, add, _) = build_cycle_graph()
         memo = g.recurrence_components()
         clone = g.copy()
-        assert clone._recurrences is memo
-        assert clone.recurrence_components() == clone.strongly_connected_components()[-1:]
+        assert clone.recurrence_components() is memo
         clone.remove_edge(add, mul)
         assert clone.recurrence_components() == []
         assert g.recurrence_components() is memo
