@@ -42,7 +42,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.ddg.loop import Loop
 from repro.eval.cache import EvalCache, schedule_key
@@ -61,6 +61,9 @@ __all__ = [
     "plan_shards",
     "iter_schedule_suite_sharded",
     "canonical_run_payload",
+    "canonical_run_line",
+    "encode_runs",
+    "lines_digest",
     "runs_digest",
     "report_digest",
 ]
@@ -455,20 +458,57 @@ def canonical_run_payload(run: LoopRun) -> Dict:
     """
     from repro import serialize
 
-    payload = serialize.loop_run_to_dict(run)
-    payload["result"]["scheduling_time_s"] = 0.0
-    return payload
+    return _zero_wall_clock(serialize.loop_run_to_dict(run))
+
+
+def _zero_wall_clock(payload: Dict) -> Dict:
+    """A ``loop_run`` payload with ``scheduling_time_s`` zeroed (a shallow copy)."""
+    return {**payload, "result": {**payload["result"], "scheduling_time_s": 0.0}}
+
+
+def canonical_run_line(payload: Dict) -> bytes:
+    """The bytes every digest over runs hashes for one run.
+
+    ``payload`` is the run's :func:`repro.serialize.loop_run_to_dict`
+    payload, which is left unmodified; the line is its canonical form
+    (wall-clock zeroed) as sorted-key JSON plus a newline.
+    :func:`runs_digest` hashes the lines of a run sequence, and a
+    run-table row's ``digest`` is the digest of its own line alone.
+    """
+    return json.dumps(_zero_wall_clock(payload), sort_keys=True).encode() + b"\n"
+
+
+def encode_runs(runs: Sequence[LoopRun]) -> Tuple[List[Dict], List[bytes]]:
+    """Each run's ``loop_run`` payload and canonical line, encoding each run once.
+
+    A caller that needs both the digests and the serialized runs (the
+    service finishing a job) builds them from this one pass.
+    """
+    from repro import serialize
+
+    payloads = [serialize.loop_run_to_dict(run) for run in runs]
+    return payloads, [canonical_run_line(payload) for payload in payloads]
+
+
+def lines_digest(lines: Iterable[bytes]) -> str:
+    """SHA-256 over canonical run lines, in order."""
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line)
+    return digest.hexdigest()
 
 
 def runs_digest(runs: Sequence[LoopRun]) -> str:
-    """SHA-256 over the canonical payloads of a run sequence (order-sensitive)."""
-    digest = hashlib.sha256()
-    for run in runs:
-        digest.update(
-            json.dumps(canonical_run_payload(run), sort_keys=True).encode()
-        )
-        digest.update(b"\n")
-    return digest.hexdigest()
+    """SHA-256 over the canonical payloads of a run sequence (order-sensitive).
+
+    Streams: one run's payload is alive at a time, so digesting a
+    full-tier sweep holds no more than one run's encoding.
+    """
+    from repro import serialize
+
+    return lines_digest(
+        canonical_run_line(serialize.loop_run_to_dict(run)) for run in runs
+    )
 
 
 def report_digest(report) -> str:

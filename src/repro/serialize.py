@@ -9,7 +9,8 @@ result surface serializable:
 
 * ``to_dict(obj)`` wraps any registered object in a self-describing
   *envelope* -- ``{"schema": ..., "type": ..., "data": {...}}`` -- and
-  ``from_dict(envelope)`` rebuilds the object;
+  ``from_dict(envelope)`` rebuilds the object (``envelope(obj, data)``
+  wraps a payload the caller already encoded);
 * ``dumps``/``loads`` and ``save``/``load`` add the JSON round trip;
 * ``schema()`` returns a machine-readable description of every
   registered type (the artifact the CI service smoke job validates
@@ -115,6 +116,7 @@ __all__ = [
     "register",
     "registered_types",
     "to_dict",
+    "envelope",
     "from_dict",
     "dumps",
     "loads",
@@ -196,14 +198,24 @@ def _entry_for(obj: object) -> _TypeEntry:
 # --------------------------------------------------------------------------- #
 def to_dict(obj: object) -> Dict:
     """Wrap any registered object in a self-describing envelope."""
+    return envelope(obj, _entry_for(obj).encode(obj))
+
+
+def envelope(obj: object, data: Dict) -> Dict:
+    """The envelope of a registered object whose ``data`` is already encoded.
+
+    For a caller that built the payload from parts it encoded for
+    another purpose (the service digests a job's runs and serves them
+    from one encode); ``data`` must be what ``to_dict(obj)["data"]``
+    would hold.
+    """
     import repro
 
-    entry = _entry_for(obj)
     return {
         "schema": SCHEMA_VERSION,
         "generator": f"repro {repro.__version__}",
-        "type": entry.name,
-        "data": entry.encode(obj),
+        "type": _entry_for(obj).name,
+        "data": data,
     }
 
 
@@ -492,18 +504,23 @@ def loop_run_from_dict(payload: Dict) -> LoopRun:
     )
 
 
-def configuration_report_to_dict(report: ConfigurationReport) -> Dict:
+def configuration_report_to_dict(
+    report: ConfigurationReport, run_payloads: Optional[List[Dict]] = None
+) -> Dict:
     """The ``data`` payload of a serialized :class:`ConfigurationReport`.
 
     Derived aggregates (cycles, traffic, time) are included read-only so
     wire consumers need not recompute them; ``from_dict`` rebuilds the
-    report from the runs and ignores them.
+    report from the runs and ignores them.  ``run_payloads`` are the
+    runs' :func:`loop_run_to_dict` payloads when the caller has them.
     """
+    if run_payloads is None:
+        run_payloads = [loop_run_to_dict(run) for run in report.runs]
     return {
         "config": report.config.to_dict(),
         "config_name": report.config.name,
         "spec": hardware_spec_to_dict(report.spec),
-        "runs": [loop_run_to_dict(run) for run in report.runs],
+        "runs": run_payloads,
         "aggregates": {
             "cycles": report.cycles,
             "memory_traffic": report.memory_traffic,

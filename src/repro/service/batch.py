@@ -52,9 +52,10 @@ import traceback
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro import serialize
+from repro.eval.shards import encode_runs, lines_digest
 from repro.session import RunReady, Session, SuiteFinished
 from repro.store.db import RunDatabase, rows_from_runs
 from repro.workloads.suite import tier_names, workbench_tier
@@ -319,15 +320,17 @@ class _JobRecord:
     n_done: int = 0
     n_total: int = 0
     error: Optional[str] = None
-    #: The serialized result envelope (schedule_result or
-    #: configuration_report) once the job is done.
-    result: Optional[Dict] = None
+    #: The result envelope (schedule_result, configuration_report or
+    #: explore_report) as the JSON text stored in the ``jobs.result``
+    #: column, once the job is done.  Kept as text, not decoded: every
+    #: reader is served from it (see ``BatchScheduler.result``).
+    result: Optional[str] = None
     #: Canonical digest over the job's finished runs (wall-clock zeroed)
     #: -- the identity the durability contract compares across restarts.
     runs_digest: Optional[str] = None
 
-    def status(self, *, include_result: bool = False) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+    def status(self) -> Dict[str, object]:
+        return {
             "job_id": self.job_id,
             "kind": self.request.kind,
             "client": self.request.client,
@@ -339,9 +342,6 @@ class _JobRecord:
             "error": self.error,
             "runs_digest": self.runs_digest,
         }
-        if include_result and self.result is not None:
-            payload["result"] = self.result
-        return payload
 
 
 class BatchScheduler:
@@ -461,14 +461,17 @@ class BatchScheduler:
                 runs_digest=row["runs_digest"],
             )
             if record.state == "done" and row["result"] is not None:
+                text = str(row["result"])
                 try:
-                    record.result = json.loads(str(row["result"]))
+                    json.loads(text)
                 except ValueError:
                     record.state = "failed"
                     record.error = "recovery: stored result is unreadable"
                     self.db.update_job(
                         record.job_id, state="failed", error=record.error
                     )
+                else:
+                    record.result = text
             if record.state in ("queued", "running"):
                 record.state = "queued"
                 record.started_at = None
@@ -607,14 +610,27 @@ class BatchScheduler:
             raise KeyError(f"unknown job id {job_id!r}")
         return record
 
-    def status(self, job_id: str, *, include_result: bool = False) -> Dict:
+    def status(self, job_id: str) -> Dict:
         """The current status view of one job (JSON-safe)."""
         with self._lock:
-            return self._record(job_id).status(include_result=include_result)
+            return self._record(job_id).status()
+
+    def status_with_result_text(self, job_id: str) -> Tuple[Dict, Optional[str]]:
+        """One job's status and its stored result JSON text, read together.
+
+        The text is ``None`` until the job is done.  This is what
+        ``GET /v2/jobs/<id>`` serves: the text goes onto the wire as it
+        was stored, without being decoded.
+        """
+        with self._lock:
+            record = self._record(job_id)
+            return record.status(), record.result
 
     def result(self, job_id: str) -> Dict:
         """The serialized result envelope of a finished job.
 
+        Each call decodes the stored JSON text afresh, so a caller may
+        modify what it gets without changing what later readers see.
         Raises ``KeyError`` for unknown ids and ``RuntimeError`` when the
         job is not (successfully) done.
         """
@@ -626,7 +642,8 @@ class BatchScheduler:
                     + (f", error: {record.error}" if record.error else "")
                     + ")"
                 )
-            return record.result
+            text = record.result
+        return json.loads(text)
 
     def wait(self, job_id: str, timeout: Optional[float] = None) -> Dict:
         """Block until the job reaches a terminal state; returns its status.
@@ -770,7 +787,7 @@ class BatchScheduler:
                                 started_at=record.started_at)
                 self._changed.notify_all()
             try:
-                envelope = self._execute(record)
+                text = self._execute(record)
             except Exception as exc:
                 with self._changed:
                     record.state = "failed"
@@ -787,12 +804,12 @@ class BatchScheduler:
             else:
                 with self._changed:
                     record.state = "done"
-                    record.result = envelope
+                    record.result = text
                     record.finished_at = time.time()
                     self._db_update(
                         record, state="done",
                         finished_at=record.finished_at,
-                        result=json.dumps(envelope, sort_keys=True),
+                        result=text,
                         runs_digest=record.runs_digest,
                         n_done=record.n_done, n_total=record.n_total,
                     )
@@ -804,35 +821,43 @@ class BatchScheduler:
             record.n_total = n_total
             self._changed.notify_all()
 
-    def _record_runs(
+    def _finish(
         self,
         record: _JobRecord,
         runs,
+        envelope_of: Callable[[List[Dict]], Dict],
         *,
         rf,
         policy: str,
         budget_ratio: float,
         tier: Optional[str] = None,
         seed: Optional[int] = None,
-    ) -> None:
-        """Stamp the job's runs digest and write the run-table rows."""
-        from repro.eval.shards import runs_digest
+    ) -> str:
+        """Digest, record and encode a finished job, encoding each run once.
 
-        record.runs_digest = runs_digest(runs)
-        if self.db is None:
-            return
-        self.db.add_runs(rows_from_runs(
-            runs,
-            rf=rf,
-            machine=self.session.machine,
-            policy=policy,
-            budget_ratio=budget_ratio,
-            job_id=record.job_id,
-            tier=tier,
-            seed=seed,
-        ))
+        The runs' ``loop_run`` payloads feed the job's ``runs_digest``,
+        every run-table row's ``digest`` and -- through ``envelope_of``
+        -- the result envelope, which is JSON-encoded here, on the worker
+        thread, before any lock is taken.  Returns that JSON text.
+        """
+        payloads, lines = encode_runs(runs)
+        record.runs_digest = lines_digest(lines)
+        if self.db is not None:
+            self.db.add_runs(rows_from_runs(
+                runs,
+                rf=rf,
+                machine=self.session.machine,
+                policy=policy,
+                digests=[lines_digest([line]) for line in lines],
+                budget_ratio=budget_ratio,
+                job_id=record.job_id,
+                tier=tier,
+                seed=seed,
+            ))
+        return json.dumps(envelope_of(payloads), sort_keys=True)
 
-    def _execute(self, record: _JobRecord) -> Dict:
+    def _execute(self, record: _JobRecord) -> str:
+        """Run one job; returns its result envelope as JSON text."""
         params = record.request.params
         session = self.session
         if record.request.kind == "schedule":
@@ -855,15 +880,16 @@ class BatchScheduler:
                 policy=params.get("policy"),
                 budget_ratio=params.get("budget_ratio"),
             )
-            self._record_runs(
+            text = self._finish(
                 record,
                 [LoopRun(loop=loop, result=result)],
+                lambda payloads: serialize.envelope(result, payloads[0]["result"]),
                 rf=session.resolve_rf(params["config"]),
                 policy=params.get("policy") or session.policy,
                 budget_ratio=effective_budget,
             )
             self._progress(record, 1, 1)
-            return serialize.to_dict(result)
+            return text
 
         if record.request.kind == "explore":
             from repro.explore import Explorer
@@ -879,7 +905,7 @@ class BatchScheduler:
                 ),
             )
             report = explorer.run()
-            return serialize.to_dict(report)
+            return serialize.dumps(report, indent=None)
 
         assert record.request.kind == "evaluate"
         report = None
@@ -907,20 +933,20 @@ class BatchScheduler:
             elif isinstance(event, SuiteFinished):
                 report = event.report
         assert report is not None
-        self._record_runs(
+        return self._finish(
             record,
             report.runs,
+            lambda payloads: _report_envelope(report, payloads),
             rf=report.config,
             policy=params.get("policy") or session.policy,
             budget_ratio=session.budget_ratio,
             tier=params.get("tier"),
             seed=int(params.get("seed", 2003)),
         )
-        return serialize.to_dict(report)
 
     def _execute_fleet(
         self, record: _JobRecord, params: Dict, n_loops: Optional[int]
-    ) -> Dict:
+    ) -> str:
         """Run one evaluate job over the coordinator's worker fleet.
 
         The workbench and the shard plan are built exactly as the local
@@ -964,13 +990,20 @@ class BatchScheduler:
         # Freshly computed shards were already written through by the
         # coordinator as they completed; this pass is idempotent on
         # run_key and additionally covers checkpoint-restored shards.
-        self._record_runs(
+        return self._finish(
             record,
             runs,
+            lambda payloads: _report_envelope(report, payloads),
             rf=rf_config,
             policy=params.get("policy") or session.policy,
             budget_ratio=session.budget_ratio,
             tier=params.get("tier"),
             seed=int(params.get("seed", 2003)),
         )
-        return serialize.to_dict(report)
+
+
+def _report_envelope(report, payloads: List[Dict]) -> Dict:
+    """The ``configuration_report`` envelope of ``report`` from its run payloads."""
+    return serialize.envelope(
+        report, serialize.configuration_report_to_dict(report, run_payloads=payloads)
+    )

@@ -281,9 +281,12 @@ class _Handler(BaseHTTPRequestHandler):
         job_id = self._job_id(path)
         if job_id is not None:
             try:
-                self._send(200, scheduler.status(job_id, include_result=True))
+                status, result_text = scheduler.status_with_result_text(job_id)
             except KeyError:
                 self._error(404, f"unknown job id {job_id!r}")
+                return
+            self._send_raw(200, _status_body(status, result_text),
+                           "application/json")
             return
         self._error(404, f"unknown path {self.path!r}")
 
@@ -368,6 +371,25 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, f"unknown job id {job_id!r}")
             return
         self._send(200, {"job_id": job_id, "cancelled": cancelled})
+
+
+def _status_body(status: Dict, result_text: Optional[str]) -> bytes:
+    """A job's status as sorted-key JSON, its stored result text embedded.
+
+    The result goes in verbatim, between the status keys that sort
+    before and after ``"result"``.  For a result stored as sorted-key
+    JSON, as the scheduler stores every result, the body is byte for
+    byte the ``json.dumps(..., sort_keys=True)`` of the status with the
+    decoded result in it, without the result being decoded or encoded.
+    """
+    if result_text is None:
+        return json.dumps(status, sort_keys=True).encode("utf-8")
+    before = json.dumps({k: v for k, v in status.items() if k < "result"},
+                        sort_keys=True)
+    after = json.dumps({k: v for k, v in status.items() if k > "result"},
+                       sort_keys=True)
+    fields = [before[1:-1], f'"result": {result_text}', after[1:-1]]
+    return ("{" + ", ".join(field for field in fields if field) + "}").encode("utf-8")
 
 
 def _required(body: Dict, key: str) -> str:

@@ -141,6 +141,7 @@ def rows_from_runs(
     rf,
     machine,
     policy: str,
+    digests: Optional[Sequence[str]] = None,
     budget_ratio: float = 6.0,
     scale_to_clock: bool = True,
     job_id: Optional[str] = None,
@@ -152,17 +153,23 @@ def rows_from_runs(
 
     The single converter the local execution path, the fleet
     coordinator, and tests share, so every writer derives identical
-    ``run_key``/``digest`` values for identical work.  The persisted
+    ``run_key``/``digest`` values for identical work.  ``digests`` are
+    the runs' canonical digests, one per run, for a caller that already
+    encoded them (see :func:`repro.eval.shards.canonical_run_line`);
+    without them, each run is encoded here once.  The persisted
     ``core`` column keeps the name of the one scheduler core,
     ``"array"``.
     """
     import repro
     from repro.eval.cache import schedule_key
-    from repro.eval.shards import runs_digest
 
+    if digests is None:
+        from repro.eval.shards import encode_runs, lines_digest
+
+        digests = [lines_digest([line]) for line in encode_runs(runs)[1]]
     stamp = time.time() if created_at is None else created_at
     rows: List[RunRow] = []
-    for run in runs:
+    for run, digest in zip(runs, digests, strict=True):
         result = run.result
         rows.append(
             RunRow(
@@ -184,7 +191,7 @@ def rows_from_runs(
                 mii=int(result.mii),
                 spills=int(result.n_spill_memory_ops),
                 scheduling_time_s=float(result.scheduling_time_s),
-                digest=runs_digest([run]),
+                digest=digest,
                 job_id=job_id,
                 tier=tier,
                 seed=seed,

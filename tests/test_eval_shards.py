@@ -17,7 +17,9 @@ from repro.eval.shards import (
     DEFAULT_SHARD_SIZE,
     ResultStore,
     canonical_run_payload,
+    encode_runs,
     iter_schedule_suite_sharded,
+    lines_digest,
     plan_shards,
     report_digest,
     runs_digest,
@@ -286,6 +288,21 @@ class TestShardedEvaluation:
         # ...and (b) the merged (restored + fresh) result is canonically
         # identical to the uninterrupted evaluation.
         assert runs_digest(resumed) == reference
+
+
+class TestCanonicalLines:
+    def test_one_encode_feeds_the_digests_and_the_payloads(self, uninterrupted):
+        runs, reference = uninterrupted
+        payloads, lines = encode_runs(runs)
+        assert lines_digest(lines) == reference
+        assert lines == [
+            json.dumps(canonical_run_payload(run), sort_keys=True).encode() + b"\n"
+            for run in runs
+        ]
+        # The digest zeroes the wall-clock in a copy: the payloads a job
+        # serves keep each run's real scheduling time.
+        assert payloads == [serialize.loop_run_to_dict(run) for run in runs]
+        assert any(payload["result"]["scheduling_time_s"] for payload in payloads)
 
 
 class TestSessionCheckpointing:

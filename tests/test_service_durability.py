@@ -11,11 +11,20 @@ store without scheduling a single loop.
 
 from __future__ import annotations
 
+import json
 import re
+import threading
+import urllib.request
+from contextlib import contextmanager
 
 import pytest
 
-from repro.service import BatchScheduler, QuotaExceeded, job_content_key
+from repro import serialize
+from repro.eval.shards import runs_digest
+from repro.service import (
+    BatchScheduler, QuotaExceeded, fetch_json, job_content_key, make_server,
+    submit_job,
+)
 from repro.service.batch import JobRequest
 from repro.session import Session
 from repro.store import RunDatabase
@@ -269,6 +278,78 @@ class TestIdempotentResubmission:
                 batch.db.close()
                 sess.close()
         assert digests[0] == digests[1]
+
+
+# --------------------------------------------------------------------------- #
+# The served result: one stored text behind every reader
+# --------------------------------------------------------------------------- #
+EVALUATE = {"kind": "evaluate", "params": {"config": "S64", "n_loops": 6}}
+
+
+@contextmanager
+def _serving(path):
+    """A scheduler over the database at ``path`` behind a live HTTP server."""
+    sess = Session()
+    scheduler = BatchScheduler(sess, db=path)
+    server = make_server(scheduler, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield scheduler, f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10.0)
+        scheduler.shutdown()
+        scheduler.db.close()
+        sess.close()
+
+
+def _finished_job(path) -> str:
+    with _serving(path) as (scheduler, url):
+        job_id = submit_job(url, EVALUATE)
+        assert scheduler.wait(job_id, timeout=120)["state"] == "done"
+    return job_id
+
+
+class TestServedResult:
+    """The GET body, ``result()`` and the ``jobs.result`` column agree."""
+
+    def assert_one_result(self, scheduler, url, job_id):
+        body = urllib.request.urlopen(f"{url}/v2/jobs/{job_id}").read()
+        status = json.loads(body)
+        assert status["state"] == "done"
+        # Sorted-key JSON, as the route served it before the stored text
+        # went onto the wire without being decoded.
+        assert body == json.dumps(status, sort_keys=True).encode()
+        stored = json.loads(scheduler.db.job(job_id)["result"])
+        assert status["result"] == scheduler.result(job_id) == stored
+        report = serialize.from_dict(status["result"])
+        assert runs_digest(report.runs) == status["runs_digest"]
+        # A caller owns what result() hands out: changing it changes
+        # neither the next GET nor the next result().
+        mine = scheduler.result(job_id)
+        mine["data"]["runs"].clear()
+        mine["type"] = "changed"
+        assert fetch_json(f"{url}/v2/jobs/{job_id}")["result"] == stored
+        assert scheduler.result(job_id) == stored
+
+    def test_live_job(self, tmp_path):
+        with _serving(tmp_path / "runs.sqlite") as (scheduler, url):
+            job_id = submit_job(url, EVALUATE)
+            assert scheduler.wait(job_id, timeout=120)["state"] == "done"
+            self.assert_one_result(scheduler, url, job_id)
+
+    def test_job_restored_after_a_restart(self, tmp_path):
+        job_id = _finished_job(tmp_path / "runs.sqlite")
+        with _serving(tmp_path / "runs.sqlite") as (scheduler, url):
+            self.assert_one_result(scheduler, url, job_id)
+
+    def test_resubmitted_job(self, tmp_path):
+        job_id = _finished_job(tmp_path / "runs.sqlite")
+        with _serving(tmp_path / "runs.sqlite") as (scheduler, url):
+            assert submit_job(url, EVALUATE) == job_id
+            self.assert_one_result(scheduler, url, job_id)
 
 
 # --------------------------------------------------------------------------- #
