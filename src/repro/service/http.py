@@ -388,8 +388,9 @@ def _status_body(status: Dict, result_text: Optional[str]) -> bytes:
                         sort_keys=True)
     after = json.dumps({k: v for k, v in status.items() if k > "result"},
                        sort_keys=True)
-    fields = [before[1:-1], f'"result": {result_text}', after[1:-1]]
-    return ("{" + ", ".join(field for field in fields if field) + "}").encode("utf-8")
+    # A status always has keys on both sides of "result" ("client" ...
+    # "state"), so neither half is empty.
+    return f'{before[:-1]}, "result": {result_text}, {after[1:]}'.encode("utf-8")
 
 
 def _required(body: Dict, key: str) -> str:
