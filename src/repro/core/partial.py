@@ -352,17 +352,15 @@ class PartialSchedule:
             )
         self.place(node_id, cycle, cluster, uses=uses, assume_free=True)
 
-        # Eject already-scheduled neighbours whose dependence constraints the
+        # Eject already-scheduled successors whose dependence constraints the
         # forced placement violates.  (remove() only touches schedule state,
         # never the graph, so the allocation-free edge views are safe here.)
-        for edge in self.graph.iter_in_edges(node_id):
-            src = edge.src
-            if src not in self.times or src == node_id:
-                continue
-            latency = self.graph.edge_latency(edge, self.latency_of)
-            if self.times[src] + latency - edge.distance * self.ii > cycle:
-                ejected.add(src)
-                self.remove(src)
+        # No predecessor can be violated: ``cycle`` is at least
+        # earliest_start(), the maximum over scheduled predecessors of
+        # ``times[src] + latency - distance * II``.  Since then only
+        # removals happened (and the place of this node), and an edge's
+        # latency depends only on its producer, so every predecessor still
+        # scheduled still satisfies its edge.
         for edge in self.graph.iter_out_edges(node_id):
             dst = edge.dst
             if dst not in self.times or dst == node_id:
