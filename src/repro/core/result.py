@@ -6,12 +6,17 @@ operation (including the communication and spill operations the scheduler
 inserted), the per-bank register usage, and the counters the evaluation
 harness needs (memory traffic, communication operations, spill traffic,
 scheduling wall time, and the loop-bound classification used by Table 1).
+
+A result restored from a payload or a pickle keeps its final dependence
+graph in stored form and builds it only when ``graph`` is first read:
+most readers of a restored run (digests, tables, run rows) use only the
+scalar fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.ddg.analysis import MIIBreakdown
 from repro.ddg.graph import DepGraph
@@ -34,6 +39,47 @@ class ScheduledOp:
         return self.cycle // ii
 
 
+def _build_graph(stored: Union[Dict, Tuple]) -> DepGraph:
+    """A graph from its stored form: a JSON payload or a pickle state tuple."""
+    if isinstance(stored, dict):
+        from repro.verify.corpus import graph_from_json
+
+        return graph_from_json(stored)
+    graph = DepGraph.__new__(DepGraph)
+    graph.__setstate__(stored)
+    return graph
+
+
+class _LazyGraph:
+    """The ``graph`` field of :class:`ScheduleResult`, built on first read.
+
+    The instance dict holds the built graph under ``graph`` and, while it
+    is unbuilt, its stored form under ``_stored_graph``: the
+    :func:`~repro.verify.corpus.graph_to_json` payload a result was
+    decoded from, or the compact :meth:`DepGraph.__getstate__` tuple it
+    was pickled with.  The first read builds the graph and drops the
+    stored form; assigning the field drops it too.  A data descriptor on
+    the result, not laziness on :class:`DepGraph`: a class-level
+    ``__getattr__`` would slow every attribute load of the scheduler's
+    hottest object.
+    """
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return None  # the dataclass field's default
+        state = result.__dict__
+        stored = state["_stored_graph"]
+        if stored is not None:
+            state["graph"] = _build_graph(stored)
+            state["_stored_graph"] = None
+        return state["graph"]
+
+    def __set__(self, result, graph: Optional[DepGraph]) -> None:
+        state = result.__dict__
+        state["graph"] = graph
+        state["_stored_graph"] = None
+
+
 @dataclass
 class ScheduleResult:
     """The outcome of scheduling one loop on one configuration."""
@@ -46,7 +92,9 @@ class ScheduleResult:
     mii_breakdown: MIIBreakdown
     stage_count: int
     assignments: Dict[int, ScheduledOp] = field(default_factory=dict)
-    graph: Optional[DepGraph] = None
+    #: The final dependence graph (inserted spill and communication
+    #: nodes included); built on first read for a restored result.
+    graph: Optional[DepGraph] = _LazyGraph()
     register_usage: Dict[int, int] = field(default_factory=dict)
     #: Loads + stores per iteration of the final loop body (the paper's
     #: ``trf``), including spill accesses.
@@ -95,6 +143,41 @@ class ScheduleResult:
     #: Analysis products (RecMII, ResMII components, priority order)
     #: served from the cross-II/cross-config analysis cache.
     n_analysis_reuses: int = 0
+
+    def defer_graph(self, payload: Dict) -> None:
+        """Hold ``payload`` (a :func:`~repro.verify.corpus.graph_to_json`
+        form) as this result's graph; it is built on the first read of
+        ``graph``.  The caller vouches that the payload builds (see
+        :func:`~repro.verify.corpus.check_graph_json`)."""
+        self.__dict__["graph"] = None
+        self.__dict__["_stored_graph"] = payload
+
+    def graph_json(self) -> Optional[Dict]:
+        """The graph's :func:`~repro.verify.corpus.graph_to_json` payload.
+
+        A result decoded from a payload whose graph was never read
+        returns the stored payload itself, without building the graph.
+        """
+        stored = self.__dict__["_stored_graph"]
+        if isinstance(stored, dict):
+            return stored
+        graph = self.graph
+        if graph is None:
+            return None
+        from repro.verify.corpus import graph_to_json
+
+        return graph_to_json(graph)
+
+    def __getstate__(self) -> Dict:
+        """Pickle a built graph as its compact state tuple, to be built on
+        first read after unpickling; an unbuilt graph stays in its stored
+        form (the default ``__setstate__`` restores the dict as is)."""
+        state = dict(self.__dict__)
+        graph = state["graph"]
+        if graph is not None:
+            state["graph"] = None
+            state["_stored_graph"] = graph.__getstate__()
+        return state
 
     @property
     def achieved_mii(self) -> bool:

@@ -29,6 +29,15 @@ The on-disk tier stores one pickle per entry under ``<dir>/<key[:2]>/``;
 writes go through a temporary file and ``os.replace`` so concurrent
 writers (e.g. two CLI runs sharing a cache directory) never observe a
 torn entry.
+
+The cache itself stores any value.  What
+:func:`~repro.eval.experiments.iter_schedule_suite` stores is a run
+without its loop -- the caller holds that loop and re-attaches it on a
+hit -- except for a binding-prefetch run (:func:`binds_prefetch`), which
+keeps the transformed loop it scheduled.  A result pickles its graph in
+compact form and builds it only when read (see
+:class:`~repro.core.result.ScheduleResult`), so a disk hit costs the
+run's numbers, not its objects.
 """
 
 from __future__ import annotations
@@ -47,15 +56,17 @@ from repro.machine.config import MachineConfig, RFConfig
 from repro.eval.metrics import LoopRun
 from repro.simulator.prefetch import PrefetchPolicy
 
-__all__ = ["CACHE_SCHEMA_VERSION", "EvalCache", "schedule_key"]
+__all__ = ["CACHE_SCHEMA_VERSION", "EvalCache", "binds_prefetch", "schedule_key"]
 
 #: Bumped whenever the pickled payload or the key derivation changes, so
 #: stale on-disk entries from older code are never silently reused.  The
 #: package version is part of the key as well (see :func:`schedule_key`),
 #: so *scheduler behavior* changes invalidate on-disk caches through the
 #: normal release version bump without touching this constant.
-#: (v2: the scheduler token became the policy bundle's name + axes.)
-CACHE_SCHEMA_VERSION: int = 2
+#: (v2: the scheduler token became the policy bundle's name + axes.
+#: v3: entries hold no loop unless binding prefetch transformed it, and a
+#: result pickles its graph for a deferred build.)
+CACHE_SCHEMA_VERSION: int = 3
 
 
 def _rf_token(rf: RFConfig) -> Tuple:
@@ -75,14 +86,23 @@ def _machine_token(machine: MachineConfig) -> Tuple:
     )
 
 
+def binds_prefetch(prefetch: Optional[PrefetchPolicy], scale_to_clock: bool) -> bool:
+    """Whether binding prefetch transforms the loops a run schedules.
+
+    It takes effect only when a policy is present, enabled, and
+    latencies are scaled to the configuration's clock (no hardware spec
+    -> no miss latency to bind).  Such a run schedules, and persists, a
+    transformed copy of its loop instead of the caller's.
+    """
+    return prefetch is not None and prefetch.enabled and bool(scale_to_clock)
+
+
 def _prefetch_token(
     prefetch: Optional[PrefetchPolicy], scale_to_clock: bool
 ) -> Optional[Tuple]:
-    # Prefetching only takes effect when a policy is present, enabled,
-    # and latencies are scaled to the configuration's clock (no hardware
-    # spec -> no miss latency to bind).  Behaviorally identical requests
-    # must share a key, so anything else normalizes to None.
-    if prefetch is None or not prefetch.enabled or not scale_to_clock:
+    # Behaviorally identical requests must share a key, so a prefetch
+    # policy that binds nothing normalizes to None.
+    if not binds_prefetch(prefetch, scale_to_clock):
         return None
     return (prefetch.enabled, prefetch.min_trip_count)
 

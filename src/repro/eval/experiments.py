@@ -16,7 +16,7 @@ scaled from quick smoke tests (a few dozen loops) up to the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -172,6 +172,21 @@ def _schedule_one(
     return LoopRun(loop=target, result=result, spec=spec)
 
 
+def _cache_entry(run: LoopRun, own_loops: bool) -> LoopRun:
+    """What the cache stores for ``run``: no loop when the caller holds it.
+
+    ``own_loops`` is false only under binding prefetch, where
+    :func:`_schedule_one` scheduled a transformed copy that the entry
+    must keep (:func:`repro.eval.cache.binds_prefetch`).
+    """
+    return replace(run, loop=None) if own_loops else run
+
+
+def _from_cache_entry(entry: LoopRun, loop: Loop, own_loops: bool) -> LoopRun:
+    """A cache hit as the caller's run: :func:`_cache_entry` undone."""
+    return replace(entry, loop=loop) if own_loops else entry
+
+
 def iter_schedule_suite(
     loops: Sequence[Loop],
     rf: RFConfig | str,
@@ -249,8 +264,9 @@ def iter_schedule_suite(
     miss_groups: Dict[str, List[int]] = {}
     pending: List[Tuple[int, Loop]] = []
     if cache is not None:
-        from repro.eval.cache import schedule_key
+        from repro.eval.cache import binds_prefetch, schedule_key
 
+        own_loops = not binds_prefetch(prefetch, scale_to_clock)
         hits: List[Tuple[int, LoopRun]] = []
         for position, loop in enumerate(loops):
             key = schedule_key(
@@ -271,7 +287,7 @@ def iter_schedule_suite(
                 continue
             hit = cache.get(key)
             if hit is not None:
-                hits.append((position, hit))
+                hits.append((position, _from_cache_entry(hit, loop, own_loops)))
             else:
                 miss_groups[key] = [position]
                 pending.append((position, loop))
@@ -306,7 +322,7 @@ def iter_schedule_suite(
         for position, run in fresh:
             key = keys[position]
             if key is not None:
-                cache.put(key, run)
+                cache.put(key, _cache_entry(run, own_loops))
                 for duplicate in miss_groups[key]:
                     covered += 1
                     yield duplicate, run, duplicate != position

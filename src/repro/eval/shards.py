@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.ddg.loop import Loop
-from repro.eval.cache import EvalCache, schedule_key
+from repro.eval.cache import EvalCache, binds_prefetch, schedule_key
 from repro.eval.metrics import LoopRun
 from repro.machine.config import MachineConfig, RFConfig
 from repro.machine.presets import baseline_machine, config_by_name
@@ -132,15 +132,31 @@ def shard_result_to_dict(result: ShardResult) -> Dict:
     }
 
 
-def shard_result_from_dict(payload: Dict) -> ShardResult:
-    """Rebuild a :class:`ShardResult` from its ``data`` payload."""
+def shard_result_from_dict(
+    payload: Dict, loops: Optional[Sequence[Loop]] = None
+) -> ShardResult:
+    """Rebuild a :class:`ShardResult` from its ``data`` payload.
+
+    ``loops`` are the caller's loops of the shard, in position order:
+    each run takes its loop instead of decoding the stored copy (see
+    :func:`repro.serialize.loop_run_from_dict`).  A shard whose run count
+    differs from ``len(loops)`` raises ``ValueError``.
+    """
     from repro import serialize
 
+    entries = payload.get("runs", ())
+    if loops is None:
+        runs = [serialize.loop_run_from_dict(entry) for entry in entries]
+    else:
+        runs = [
+            serialize.loop_run_from_dict(entry, loop)
+            for entry, loop in zip(entries, loops, strict=True)
+        ]
     return ShardResult(
         key=payload["key"],
         config_name=payload.get("config_name", ""),
         positions=[int(p) for p in payload.get("positions", ())],
-        runs=[serialize.loop_run_from_dict(entry) for entry in payload.get("runs", ())],
+        runs=runs,
     )
 
 
@@ -261,8 +277,16 @@ class ResultStore:
         """
         return any(Path(directory).expanduser().glob(cls._ENVELOPE_GLOB))
 
-    def get(self, shard: Shard) -> Optional[List[LoopRun]]:
-        """The persisted runs of ``shard``, or ``None`` when not usable."""
+    def get(
+        self, shard: Shard, loops: Optional[Sequence[Loop]] = None
+    ) -> Optional[List[LoopRun]]:
+        """The persisted runs of ``shard``, or ``None`` when not usable.
+
+        ``loops`` are the caller's loops at the shard's positions: the
+        restored runs take them instead of decoding the stored copies.
+        Leave it out when the stored loops differ from the caller's (a
+        binding-prefetch run persists the transformed loop it scheduled).
+        """
         from repro import serialize
 
         path = self.path_for(shard.key)
@@ -270,16 +294,18 @@ class ResultStore:
             self.misses += 1
             return None
         try:
-            result = serialize.load(path, expect_type="shard_result")
-        except (OSError, serialize.SerializationError, ValueError, KeyError) as exc:
+            payload = json.loads(path.read_text())
+            serialize.validate(payload, expect_type="shard_result")
+            data = payload["data"]
+            if data["key"] != shard.key or len(data["runs"]) != len(shard.positions):
+                self._note_invalid(shard, "envelope content does not match the shard")
+                return None
+            result = shard_result_from_dict(data, loops)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            # Valid JSON of the wrong shape fails with TypeError or
+            # AttributeError deep in a decoder; it is as unusable as a
+            # torn file (ValueError covers JSON and schema errors).
             self._note_invalid(shard, f"unreadable envelope ({exc!r})")
-            return None
-        if (
-            not isinstance(result, ShardResult)
-            or result.key != shard.key
-            or len(result.runs) != len(shard.positions)
-        ):
-            self._note_invalid(shard, "envelope content does not match the shard")
             return None
         self.hits += 1
         return result.runs
@@ -409,10 +435,14 @@ def iter_schedule_suite_sharded(
         prefetch=prefetch,
     )
     wants_pool = executor is None and jobs != 1 and n_workers > 1
+    # A binding-prefetch run persists the transformed loop it scheduled,
+    # so only the others restore onto the caller's loops.
+    own_loops = not binds_prefetch(prefetch, scale_to_clock)
     owned_pool = None
     try:
         for shard in plan.shards:
-            restored = store.get(shard)
+            shard_loops = [loops[position] for position in shard.positions]
+            restored = store.get(shard, shard_loops if own_loops else None)
             if restored is not None:
                 for position, run in zip(shard.positions, restored):
                     yield position, run, True
@@ -423,7 +453,6 @@ def iter_schedule_suite_sharded(
                 # (or have its recorded wall-clock polluted by) worker
                 # process start-up for a pool that never receives work.
                 owned_pool = executor = ProcessPoolExecutor(max_workers=n_workers)
-            shard_loops = [loops[position] for position in shard.positions]
             runs: List[Optional[LoopRun]] = [None] * len(shard_loops)
             for local, run, cached in iter_schedule_suite(
                 shard_loops,

@@ -96,8 +96,7 @@ from repro.store.db import (
 )
 from repro.verify.corpus import (
     CorpusCase,
-    graph_from_json,
-    graph_to_json,
+    check_graph_json,
     loop_from_json,
     loop_to_json,
 )
@@ -369,7 +368,7 @@ def schedule_result_to_dict(result: ScheduleResult) -> Dict:
         "mii_breakdown": _mii_breakdown_to_dict(result.mii_breakdown),
         "stage_count": result.stage_count,
         "assignments": assignments,
-        "graph": graph_to_json(result.graph) if result.graph is not None else None,
+        "graph": result.graph_json(),
         "register_usage": {
             str(bank): usage for bank, usage in sorted(result.register_usage.items())
         },
@@ -387,26 +386,27 @@ def schedule_result_to_dict(result: ScheduleResult) -> Dict:
 def schedule_result_from_dict(payload: Dict) -> ScheduleResult:
     """Rebuild a :class:`ScheduleResult` from its ``data`` payload.
 
-    Node ids in ``assignments`` are remapped through the rebuilt graph's
-    id map, so results whose graphs were saved with id gaps (nodes
-    removed by ejection cleanup) stay consistent.  Envelopes written
-    before 1.12 also carry ``n_pressure_checks`` and ``n_full_sweeps``;
-    those keys are ignored, and the rebuilt counters read 0.
+    The final graph is checked here (a payload that would not build
+    raises now, not on first use) but built only when ``result.graph``
+    is first read; until then the result re-encodes to the stored graph
+    payload.  Node ids are preserved, so ``assignments`` (keyed by node
+    id) stay valid verbatim.  Envelopes written before 1.12 also carry
+    ``n_pressure_checks`` and ``n_full_sweeps``; those keys are ignored,
+    and the rebuilt counters read 0.
     """
-    graph = None
-    id_map: Dict[int, int] = {}
-    if payload.get("graph") is not None:
-        graph, id_map = graph_from_json(payload["graph"])
+    graph_payload = payload.get("graph")
+    if graph_payload is not None:
+        check_graph_json(graph_payload)
     assignments: Dict[int, ScheduledOp] = {}
     for entry in payload.get("assignments", ()):
-        node_id = id_map.get(entry["node"], entry["node"])
+        node_id = entry["node"]
         assignments[node_id] = ScheduledOp(
             node_id=node_id,
             op=OpType(entry["op"]),
             cycle=int(entry["cycle"]),
             cluster=entry.get("cluster"),
         )
-    return ScheduleResult(
+    result = ScheduleResult(
         loop_name=payload["loop_name"],
         config_name=payload["config_name"],
         success=bool(payload["success"]),
@@ -415,7 +415,6 @@ def schedule_result_from_dict(payload: Dict) -> ScheduleResult:
         mii_breakdown=_mii_breakdown_from_dict(payload["mii_breakdown"]),
         stage_count=int(payload["stage_count"]),
         assignments=assignments,
-        graph=graph,
         register_usage={
             int(bank): int(usage)
             for bank, usage in (payload.get("register_usage") or {}).items()
@@ -434,6 +433,9 @@ def schedule_result_from_dict(payload: Dict) -> ScheduleResult:
         ],
         policy=payload.get("policy", "mirs_hc"),
     )
+    if graph_payload is not None:
+        result.defer_graph(graph_payload)
+    return result
 
 
 def _bank_estimate_to_dict(bank: Optional[BankEstimate]) -> Optional[Dict]:
@@ -493,11 +495,21 @@ def loop_run_to_dict(run: LoopRun) -> Dict:
     }
 
 
-def loop_run_from_dict(payload: Dict) -> LoopRun:
-    """Rebuild a :class:`LoopRun` from its ``data`` payload."""
+def loop_run_from_dict(payload: Dict, loop: Optional[Loop] = None) -> LoopRun:
+    """Rebuild a :class:`LoopRun` from its ``data`` payload.
+
+    ``loop`` is the caller's own copy of the run's loop (a restore keyed
+    on its :func:`~repro.eval.cache.schedule_key`): the run takes it
+    instead of decoding the stored one, whose graph payload is still
+    checked, so a corrupt payload fails the same way either way.
+    """
     spec = payload.get("spec")
+    if loop is None:
+        loop = loop_from_json(payload["loop"])
+    else:
+        check_graph_json(payload["loop"])
     return LoopRun(
-        loop=loop_from_json(payload["loop"]),
+        loop=loop,
         result=schedule_result_from_dict(payload["result"]),
         spec=hardware_spec_from_dict(spec) if spec is not None else None,
         stall_cycles=float(payload.get("stall_cycles", 0.0)),

@@ -235,9 +235,11 @@ class ShardCoordinator:
             budget_ratio=float(budget_ratio),
             scale_to_clock=scale_to_clock,
         )
-        # Restored outside the lock: store probing is pure I/O.
+        # Restored outside the lock: store probing is pure I/O.  Fleet
+        # jobs bind no prefetch, so restored runs take the job's loops.
         restored: List[Optional[List[LoopRun]]] = [
-            self.store.get(shard) for shard in plan.shards
+            self.store.get(shard, [job.loops[p] for p in shard.positions])
+            for shard in plan.shards
         ]
         with self._changed:
             self._check_open()

@@ -35,6 +35,7 @@ __all__ = [
     "CorpusCase",
     "graph_to_json",
     "graph_from_json",
+    "check_graph_json",
     "loop_to_json",
     "loop_from_json",
     "rf_to_json",
@@ -90,18 +91,18 @@ def graph_to_json(graph: DepGraph) -> Dict:
     return {"nodes": nodes, "edges": edges}
 
 
-def graph_from_json(payload: Dict) -> "tuple[DepGraph, Dict[int, int]]":
-    """Rebuild a graph; returns ``(graph, id_map)``.
+def graph_from_json(payload: Dict) -> DepGraph:
+    """Rebuild a graph from its :func:`graph_to_json` form.
 
     Node ids are *preserved* -- including the gaps a shrunk or scheduled
     graph carries after node removal -- so per-node side tables (e.g. the
     assignments of a serialized schedule result) stay valid verbatim and
-    a round trip is canonical-form exact.  ``id_map`` (payload id ->
-    rebuilt id, the identity today) is returned for callers that remap
-    defensively.
+    a round trip is canonical-form exact.  ``inserted_for`` is kept
+    verbatim too: it is provenance, not an edge, and its owner may be
+    gone from a final graph (ejected after its communication node
+    survived).
     """
     graph = DepGraph()
-    id_map: Dict[int, int] = {}
     for entry in payload["nodes"]:
         ref = None
         if entry.get("mem_ref") is not None:
@@ -118,23 +119,50 @@ def graph_from_json(payload: Dict) -> "tuple[DepGraph, Dict[int, int]]":
             mem_ref=ref,
             is_spill=bool(entry.get("is_spill", False)),
             is_inserted=bool(entry.get("is_inserted", False)),
+            inserted_for=entry.get("inserted_for"),
             home_cluster=entry.get("home_cluster"),
             node_id=int(entry["id"]),
         )
         if entry.get("latency_override") is not None:
             graph.node(node_id).latency_override = int(entry["latency_override"])
-        id_map[entry["id"]] = node_id
-    # inserted_for references other nodes, so it is restored once every
-    # node exists.  The owner may legitimately be gone from the final
-    # graph (ejected after its communication node survived); the stored
-    # id is kept verbatim in that case -- it is provenance, not an edge.
-    for entry in payload["nodes"]:
-        owner = entry.get("inserted_for")
-        if owner is not None:
-            graph.node(id_map[entry["id"]]).inserted_for = id_map.get(owner, owner)
     for src, dst, distance, kind in payload["edges"]:
-        graph.add_edge(id_map[src], id_map[dst], distance=distance, kind=kind)
-    return graph, id_map
+        graph.add_edge(src, dst, distance=distance, kind=kind)
+    return graph
+
+
+_OP_VALUES = frozenset(op.value for op in OpType)
+
+
+def check_graph_json(payload: Dict) -> None:
+    """Raise where :func:`graph_from_json` would reject ``payload``.
+
+    Builds no graph, so a reader that defers the build (a restored
+    schedule result, see :class:`~repro.core.result.ScheduleResult`)
+    can still refuse a corrupt payload when it is read: an unknown op, a
+    duplicate id, an unusable memory reference or latency override, an
+    edge to a missing node, or a negative distance.  Raises
+    ``ValueError``, or the ``KeyError``/``TypeError``/``AttributeError``
+    a payload of the wrong shape gives.
+    """
+    ids = set()
+    for entry in payload["nodes"]:
+        if entry["op"] not in _OP_VALUES:
+            raise ValueError(f"unknown op {entry['op']!r}")
+        node_id = int(entry["id"])
+        if node_id in ids:
+            raise ValueError(f"node id {node_id} appears twice")
+        ids.add(node_id)
+        mem_ref = entry.get("mem_ref")
+        if mem_ref is not None and not (isinstance(mem_ref, dict) and "array" in mem_ref):
+            raise ValueError(f"node {node_id} has an unusable mem_ref {mem_ref!r}")
+        override = entry.get("latency_override")
+        if override is not None:
+            int(override)  # raises where the build's int() would
+    for src, dst, distance, _kind in payload["edges"]:
+        if src not in ids or dst not in ids:
+            raise ValueError(f"edge references unknown node ({src} -> {dst})")
+        if distance < 0:
+            raise ValueError("dependence distance must be non-negative")
 
 
 # --------------------------------------------------------------------------- #
@@ -158,10 +186,9 @@ def loop_to_json(loop: Loop) -> Dict:
 
 
 def loop_from_json(payload: Dict) -> Loop:
-    graph, _id_map = graph_from_json(payload)
     return Loop(
         name=payload["name"],
-        graph=graph,
+        graph=graph_from_json(payload),
         trip_count=payload.get("trip_count", 100),
         times_entered=payload.get("times_entered", 1),
         weight=payload.get("weight", 1.0),
