@@ -172,21 +172,6 @@ def _schedule_one(
     return LoopRun(loop=target, result=result, spec=spec)
 
 
-def _cache_entry(run: LoopRun, own_loops: bool) -> LoopRun:
-    """What the cache stores for ``run``: no loop when the caller holds it.
-
-    ``own_loops`` is false only under binding prefetch, where
-    :func:`_schedule_one` scheduled a transformed copy that the entry
-    must keep (:func:`repro.eval.cache.binds_prefetch`).
-    """
-    return replace(run, loop=None) if own_loops else run
-
-
-def _from_cache_entry(entry: LoopRun, loop: Loop, own_loops: bool) -> LoopRun:
-    """A cache hit as the caller's run: :func:`_cache_entry` undone."""
-    return replace(entry, loop=loop) if own_loops else entry
-
-
 def iter_schedule_suite(
     loops: Sequence[Loop],
     rf: RFConfig | str,
@@ -266,6 +251,9 @@ def iter_schedule_suite(
     if cache is not None:
         from repro.eval.cache import binds_prefetch, schedule_key
 
+        # Entries hold no loop: the caller holds it and gets it back on a
+        # hit.  Under binding prefetch _schedule_one scheduled a
+        # transformed copy, which the entry keeps.
         own_loops = not binds_prefetch(prefetch, scale_to_clock)
         hits: List[Tuple[int, LoopRun]] = []
         for position, loop in enumerate(loops):
@@ -287,7 +275,7 @@ def iter_schedule_suite(
                 continue
             hit = cache.get(key)
             if hit is not None:
-                hits.append((position, _from_cache_entry(hit, loop, own_loops)))
+                hits.append((position, replace(hit, loop=loop) if own_loops else hit))
             else:
                 miss_groups[key] = [position]
                 pending.append((position, loop))
@@ -322,7 +310,7 @@ def iter_schedule_suite(
         for position, run in fresh:
             key = keys[position]
             if key is not None:
-                cache.put(key, _cache_entry(run, own_loops))
+                cache.put(key, replace(run, loop=None) if own_loops else run)
                 for duplicate in miss_groups[key]:
                     covered += 1
                     yield duplicate, run, duplicate != position
