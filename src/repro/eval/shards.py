@@ -146,17 +146,15 @@ def shard_result_from_dict(
 
     entries = payload.get("runs", ())
     if loops is None:
-        runs = [serialize.loop_run_from_dict(entry) for entry in entries]
-    else:
-        runs = [
-            serialize.loop_run_from_dict(entry, loop)
-            for entry, loop in zip(entries, loops, strict=True)
-        ]
+        loops = [None] * len(entries)
     return ShardResult(
         key=payload["key"],
         config_name=payload.get("config_name", ""),
         positions=[int(p) for p in payload.get("positions", ())],
-        runs=runs,
+        runs=[
+            serialize.loop_run_from_dict(entry, loop)
+            for entry, loop in zip(entries, loops, strict=True)
+        ],
     )
 
 

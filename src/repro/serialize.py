@@ -500,8 +500,8 @@ def loop_run_from_dict(payload: Dict, loop: Optional[Loop] = None) -> LoopRun:
 
     ``loop`` is the caller's own copy of the run's loop (a restore keyed
     on its :func:`~repro.eval.cache.schedule_key`): the run takes it
-    instead of decoding the stored one, whose graph payload is still
-    checked, so a corrupt payload fails the same way either way.
+    instead of decoding the stored one.  The stored loop's graph is
+    still checked, so a corrupt one is refused either way.
     """
     spec = payload.get("spec")
     if loop is None:
