@@ -306,13 +306,16 @@ class _FlakyServer(threading.Thread):
                 try:
                     conn.recv(65536)  # drain the request; content ignored
                     body = json.dumps(self.payload).encode()
+                    # Counted before the answer leaves: a client that has
+                    # the answer may read the count before this thread
+                    # runs again.
+                    self.n_served += 1
                     conn.sendall(
                         b"HTTP/1.1 200 OK\r\n"
                         b"Content-Type: application/json\r\n"
                         b"Content-Length: " + str(len(body)).encode() + b"\r\n"
                         b"Connection: close\r\n\r\n" + body
                     )
-                    self.n_served += 1
                 except OSError:  # pragma: no cover - client went away
                     pass
 
