@@ -195,7 +195,7 @@ def plan_communication(
                 # (with an updated home cluster for StoreR, whose source
                 # bank is dictated by this producer).
                 if dst_node.op is OpType.STORER and my_value_bank != SHARED:
-                    dst_node.home_cluster = my_value_bank
+                    graph.set_home_cluster(dst, my_value_bank)
                 schedule.remove(dst)
                 requeue.append(dst)
                 continue

@@ -8,15 +8,17 @@ harness needs (memory traffic, communication operations, spill traffic,
 scheduling wall time, and the loop-bound classification used by Table 1).
 
 A result restored from a payload or a pickle keeps its final dependence
-graph in stored form and builds it only when ``graph`` is first read:
-most readers of a restored run (digests, tables, run rows) use only the
-scalar fields.
+graph and its placements in stored form and builds each only when
+``graph`` or ``assignments`` is first read: most readers of a restored
+run (digests, tables, run rows) use only the scalar fields, and a
+digest re-encodes the stored forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.ddg.analysis import MIIBreakdown
 from repro.ddg.graph import DepGraph
@@ -39,6 +41,10 @@ class ScheduledOp:
         return self.cycle // ii
 
 
+#: One placement in stored form: ``(node, op value, cycle, cluster)``.
+Placement = Tuple[int, str, int, Optional[int]]
+
+
 def _build_graph(stored: Union[Dict, Tuple]) -> DepGraph:
     """A graph from its stored form: a JSON payload or a pickle state tuple."""
     if isinstance(stored, dict):
@@ -50,34 +56,68 @@ def _build_graph(stored: Union[Dict, Tuple]) -> DepGraph:
     return graph
 
 
-class _LazyGraph:
-    """The ``graph`` field of :class:`ScheduleResult`, built on first read.
+def _is_json_entries(stored: List) -> bool:
+    """Whether stored placements are a payload's entry dicts (else tuples)."""
+    return not stored or isinstance(stored[0], dict)
 
-    The instance dict holds the built graph under ``graph`` and, while it
-    is unbuilt, its stored form under ``_stored_graph``: the
-    :func:`~repro.verify.corpus.graph_to_json` payload a result was
-    decoded from, or the compact :meth:`DepGraph.__getstate__` tuple it
-    was pickled with.  The first read builds the graph and drops the
-    stored form; assigning the field drops it too.  A data descriptor on
-    the result, not laziness on :class:`DepGraph`: a class-level
-    ``__getattr__`` would slow every attribute load of the scheduler's
-    hottest object.
+
+def _placement_tuples(stored: List) -> List[Placement]:
+    """Stored placements -- a payload's ``{"node", "op", "cycle",
+    "cluster"}`` entries or pickled tuples -- as :data:`Placement` tuples."""
+    if _is_json_entries(stored):
+        return [
+            (entry["node"], entry["op"], entry["cycle"], entry["cluster"])
+            for entry in stored
+        ]
+    return stored
+
+
+def _build_assignments(stored: List) -> Dict[int, ScheduledOp]:
+    return {
+        node: ScheduledOp(node, OpType(op), cycle, cluster)
+        for node, op, cycle, cluster in _placement_tuples(stored)
+    }
+
+
+class _Deferred:
+    """A field of :class:`ScheduleResult` held in stored form until first read.
+
+    The instance dict holds the built value under the field's name and,
+    while it is unbuilt, its stored form under ``_stored_<name>``; the
+    first read builds the value with ``build`` and drops the stored form,
+    and assigning the field drops it too.  ``empty`` makes the value an
+    assignment of ``None`` stores (the field's default).  A data
+    descriptor on the result, not laziness on :class:`DepGraph`: a
+    class-level ``__getattr__`` would slow every attribute load of the
+    scheduler's hottest object.
     """
+
+    def __init__(
+        self, build: Callable, empty: Optional[Callable[[], object]] = None
+    ) -> None:
+        self.build = build
+        self.empty = empty
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+        self.stored = f"_stored_{name}"
 
     def __get__(self, result, owner=None):
         if result is None:
             return None  # the dataclass field's default
         state = result.__dict__
-        stored = state["_stored_graph"]
+        stored = state[self.stored]
         if stored is not None:
-            state["graph"] = _build_graph(stored)
-            state["_stored_graph"] = None
-        return state["graph"]
+            state[self.name] = self.build(stored)
+            state[self.stored] = None
+        return state[self.name]
 
-    def __set__(self, result, graph: Optional[DepGraph]) -> None:
+    def __set__(self, result, value) -> None:
+        if value is None and self.empty is not None:
+            value = self.empty()
         state = result.__dict__
-        state["graph"] = graph
-        state["_stored_graph"] = None
+        state[self.name] = value
+        state[self.stored] = None
 
 
 @dataclass
@@ -91,10 +131,12 @@ class ScheduleResult:
     mii: int
     mii_breakdown: MIIBreakdown
     stage_count: int
-    assignments: Dict[int, ScheduledOp] = field(default_factory=dict)
+    #: Placement of every operation by node id (an empty dict when not
+    #: given); built on first read for a restored result.
+    assignments: Dict[int, ScheduledOp] = _Deferred(_build_assignments, dict)
     #: The final dependence graph (inserted spill and communication
     #: nodes included); built on first read for a restored result.
-    graph: Optional[DepGraph] = _LazyGraph()
+    graph: Optional[DepGraph] = _Deferred(_build_graph)
     register_usage: Dict[int, int] = field(default_factory=dict)
     #: Loads + stores per iteration of the final loop body (the paper's
     #: ``trf``), including spill accesses.
@@ -144,39 +186,80 @@ class ScheduleResult:
     #: served from the cross-II/cross-config analysis cache.
     n_analysis_reuses: int = 0
 
-    def defer_graph(self, payload: Dict) -> None:
-        """Hold ``payload`` (a :func:`~repro.verify.corpus.graph_to_json`
-        form) as this result's graph; it is built on the first read of
-        ``graph``.  The caller vouches that the payload builds (see
-        :func:`~repro.verify.corpus.check_graph_json`)."""
-        self.__dict__["graph"] = None
-        self.__dict__["_stored_graph"] = payload
+    def defer(self, graph: Optional[Dict], assignments: List[Dict]) -> None:
+        """Hold a payload's graph (a
+        :func:`~repro.verify.corpus.graph_to_json` form) and placement
+        entries as this result's ``graph`` and ``assignments``, each
+        built on its first read.  The caller vouches that both build
+        (see :func:`~repro.verify.corpus.check_graph_json` and
+        ``repro.serialize._check_assignments_json``)."""
+        state = self.__dict__
+        state["graph"] = None
+        state["_stored_graph"] = graph
+        state["assignments"] = None
+        state["_stored_assignments"] = assignments
 
     def graph_json(self) -> Optional[Dict]:
         """The graph's :func:`~repro.verify.corpus.graph_to_json` payload.
 
-        A result decoded from a payload whose graph was never read
-        returns the stored payload itself, without building the graph.
+        An unread stored graph is not built: a decoded payload is
+        returned as is, and a pickled state tuple is encoded directly.
         """
+        from repro.verify.corpus import graph_state_to_json
+
         stored = self.__dict__["_stored_graph"]
         if isinstance(stored, dict):
             return stored
-        graph = self.graph
-        if graph is None:
-            return None
-        from repro.verify.corpus import graph_to_json
+        if stored is None:
+            graph = self.__dict__["graph"]
+            if graph is None:
+                return None
+            stored = graph.__getstate__()
+        return graph_state_to_json(stored)
 
-        return graph_to_json(graph)
+    def placements(self) -> List[Placement]:
+        """Every placement as a node-sorted :data:`Placement` tuple.
+
+        Unread stored placements are converted, not built into
+        :class:`ScheduledOp` objects.
+        """
+        stored = self.__dict__["_stored_assignments"]
+        if stored is not None:
+            return _placement_tuples(stored)
+        return [
+            (placed.node_id, placed.op.value, placed.cycle, placed.cluster)
+            for placed in sorted(
+                self.__dict__["assignments"].values(), key=attrgetter("node_id")
+            )
+        ]
+
+    def assignments_json(self) -> List[Dict]:
+        """The node-sorted ``{"node", "op", "cycle", "cluster"}`` entries
+        of :func:`repro.serialize.schedule_result_to_dict`.
+
+        A result decoded from a payload whose placements were never read
+        returns the stored entries themselves.
+        """
+        stored = self.__dict__["_stored_assignments"]
+        if stored is not None and _is_json_entries(stored):
+            return stored
+        return [
+            {"node": node, "op": op, "cycle": cycle, "cluster": cluster}
+            for node, op, cycle, cluster in self.placements()
+        ]
 
     def __getstate__(self) -> Dict:
-        """Pickle a built graph as its compact state tuple, to be built on
-        first read after unpickling; an unbuilt graph stays in its stored
-        form (the default ``__setstate__`` restores the dict as is)."""
+        """Pickle the graph and the placements in compact stored form, to
+        be built on first read after unpickling: a built graph as its
+        state tuple, placements as node-sorted :data:`Placement` tuples
+        (the default ``__setstate__`` restores the dict as is)."""
         state = dict(self.__dict__)
         graph = state["graph"]
         if graph is not None:
             state["graph"] = None
             state["_stored_graph"] = graph.__getstate__()
+        state["assignments"] = None
+        state["_stored_assignments"] = self.placements()
         return state
 
     @property

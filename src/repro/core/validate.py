@@ -96,6 +96,7 @@ def _validate_schedule(
     if graph is None:
         raise ValidationError("schedule result carries no final graph")
     ii = result.ii
+    assignments = result.assignments
     times: Dict[int, int] = {}
     clusters: Dict[int, Optional[int]] = {}
 
@@ -103,11 +104,11 @@ def _validate_schedule(
     for node in graph.nodes():
         if node.op is OpType.LIVE_IN:
             continue
-        if node.node_id not in result.assignments:
+        if node.node_id not in assignments:
             raise ValidationError(
                 f"operation {node.node_id} ({node.op.mnemonic}) is not scheduled"
             )
-        placed = result.assignments[node.node_id]
+        placed = assignments[node.node_id]
         times[node.node_id] = placed.cycle
         clusters[node.node_id] = placed.cluster
         if placed.cycle < 0:

@@ -15,6 +15,7 @@ scheduling time via :meth:`DepGraph.edge_latency`.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -95,7 +96,19 @@ class Dependence:
 
 
 class DepGraph:
-    """A mutable dependence graph over :class:`Operation` nodes."""
+    """A mutable dependence graph over :class:`Operation` nodes.
+
+    Every write goes through a method of this class: the structural
+    mutators, :meth:`set_latency_override` and :meth:`set_home_cluster`.
+    Nothing else assigns an :class:`Operation` field after the node is
+    added, so the memos below see every change.
+    """
+
+    #: Memo of :meth:`signature_digest`: ``(head, digest)`` of the last
+    #: call, dropped by every mutator.  A class-level default: only a
+    #: graph that was digested holds its own, so the graphs the scheduler
+    #: builds and copies carry no extra attribute.
+    _signature_digest: Optional[Tuple[str, str]] = None
 
     def __init__(self) -> None:
         self._nodes: Dict[int, Operation] = {}
@@ -151,6 +164,7 @@ class DepGraph:
         is_inserted: bool = False,
         inserted_for: Optional[int] = None,
         home_cluster: Optional[int] = None,
+        latency_override: Optional[int] = None,
         node_id: Optional[int] = None,
     ) -> int:
         """Add an operation and return its node id.
@@ -169,6 +183,8 @@ class DepGraph:
                 raise ValueError(f"node id {node_id} is already in the graph")
             self._next_id = max(self._next_id, node_id + 1)
         self._recurrences = None
+        if self._signature_digest is not None:
+            self._signature_digest = None
         self._nodes[node_id] = Operation(
             node_id=node_id,
             op=op,
@@ -178,6 +194,7 @@ class DepGraph:
             is_inserted=is_inserted,
             inserted_for=inserted_for,
             home_cluster=home_cluster,
+            latency_override=latency_override,
         )
         self._succ[node_id] = {}
         self._pred[node_id] = {}
@@ -202,6 +219,8 @@ class DepGraph:
         self._flow_succ.pop(src, None)
         self._flow_pred.pop(dst, None)
         self._recurrences = None
+        if self._signature_digest is not None:
+            self._signature_digest = None
         if self._listeners:
             for listener in self._listeners:
                 listener.on_edge_added(edge)
@@ -213,6 +232,8 @@ class DepGraph:
         self._flow_succ.pop(src, None)
         self._flow_pred.pop(dst, None)
         self._recurrences = None
+        if self._signature_digest is not None:
+            self._signature_digest = None
         if edge is not None and self._listeners:
             for listener in self._listeners:
                 listener.on_edge_removed(edge)
@@ -229,6 +250,8 @@ class DepGraph:
         self._flow_succ.pop(node_id, None)
         self._flow_pred.pop(node_id, None)
         self._recurrences = None
+        if self._signature_digest is not None:
+            self._signature_digest = None
         if self._listeners:
             # The dense index is released only after the listeners ran:
             # index-keyed observers (the array pressure tracker) need it to
@@ -237,12 +260,26 @@ class DepGraph:
                 listener.on_node_removed(node_id)
         self._free_indices.append(self._node_index.pop(node_id))
 
+    def set_latency_override(self, node_id: int, latency: Optional[int]) -> None:
+        """Schedule ``node_id`` with ``latency`` cycles instead of its
+        machine latency (``None`` restores the machine latency)."""
+        self._nodes[node_id].latency_override = latency
+        if self._signature_digest is not None:
+            self._signature_digest = None
+
+    def set_home_cluster(self, node_id: int, cluster: Optional[int]) -> None:
+        """Tie the communication operation ``node_id`` to ``cluster``."""
+        self._nodes[node_id].home_cluster = cluster
+        if self._signature_digest is not None:
+            self._signature_digest = None
+
     def copy(self) -> "DepGraph":
         """Deep copy of the graph (fresh Operation objects, same ids).
 
         The copy iterates nodes and successors in the original's order,
-        so it shares the recurrence memo until either graph changes.
-        Flow-adjacency snapshots and listeners are not copied.
+        so it shares the recurrence and signature-digest memos until
+        either graph changes.  Flow-adjacency snapshots and listeners are
+        not copied.
         """
         clone = DepGraph()
         clone._next_id = self._next_id
@@ -269,6 +306,8 @@ class DepGraph:
         clone._free_indices = list(self._free_indices)
         clone._index_size = self._index_size
         clone._recurrences = self._recurrences
+        if self._signature_digest is not None:
+            clone._signature_digest = self._signature_digest
         return clone
 
     def drop_snapshots(self) -> None:
@@ -294,7 +333,8 @@ class DepGraph:
         deliberately dropped: they track one live graph instance (e.g. a
         scheduler's pressure tracker) and must never travel across a
         process boundary with a result.  Snapshots and the recurrence
-        memo are dropped too; they rebuild on first use.
+        memo are dropped too, and so is the signature-digest memo; they
+        rebuild on first use.
         """
         nodes = [
             (
@@ -622,6 +662,26 @@ class DepGraph:
             )
         )
         return (nodes, edges)
+
+    def signature_digest(self, head: str) -> str:
+        """SHA-256 hex digest of the text ``(<head>, <signature>)``.
+
+        ``<signature>`` is the ``repr`` of :meth:`structural_signature`
+        and ``head`` the ``repr`` text of what precedes it, so the text
+        is the ``repr`` of a tuple that ends with the signature (a loop's
+        metadata and its graph, see
+        :meth:`repro.ddg.loop.Loop.fingerprint`).  The last digest is
+        kept with its head: asked again with the same head, an unchanged
+        graph answers without rebuilding its signature.  Every mutator
+        drops the memo, :meth:`copy` shares it and pickling drops it.
+        """
+        memo = self._signature_digest
+        if memo is not None and memo[0] == head:
+            return memo[1]
+        text = f"({head}, {self.structural_signature()!r})"
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        self._signature_digest = (head, digest)
+        return digest
 
     def summary(self) -> str:
         """One-line human-readable summary of the graph."""

@@ -9,7 +9,6 @@ behaviour of the loop (for memory traffic and the real-memory scenario).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -87,15 +86,18 @@ class Loop:
         change to the body or the execution metadata changes it.  This is
         the loop component of the evaluation-cache key
         (:func:`repro.eval.cache.schedule_key`).
+
+        The digest is SHA-256 over ``repr((name, trip_count,
+        times_entered, weight, graph.structural_signature()))``.  The
+        graph keeps the last digest with the text of the four metadata
+        values (see :meth:`DepGraph.signature_digest`): fields of a loop
+        may change, and equal text means equal bytes.
         """
-        payload = (
-            self.name,
-            self.trip_count,
-            self.times_entered,
-            self.weight,
-            self.graph.structural_signature(),
+        head = (
+            f"{self.name!r}, {self.trip_count!r}, "
+            f"{self.times_entered!r}, {self.weight!r}"
         )
-        return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+        return self.graph.signature_digest(head)
 
     def describe(self) -> str:
         """Readable one-line description used by examples and reports."""

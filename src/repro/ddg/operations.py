@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-__all__ = ["OpType", "OpClass", "MemRef"]
+__all__ = ["OpType", "OpClass", "MemRef", "OP_VALUES"]
 
 
 class OpClass(enum.Enum):
@@ -69,6 +69,9 @@ class OpType(enum.Enum):
         is_pseudo: bool
         defines_register: bool
 
+
+#: Every ``OpType`` value: what a payload's ``"op"`` may hold.
+OP_VALUES = frozenset(op.value for op in OpType)
 
 _COMPUTE_OPS = frozenset({OpType.FADD, OpType.FMUL, OpType.FDIV, OpType.FSQRT})
 _MEMORY_OPS = frozenset({OpType.LOAD, OpType.STORE})

@@ -34,8 +34,8 @@ The cache itself stores any value.  What
 :func:`~repro.eval.experiments.iter_schedule_suite` stores is a run
 without its loop -- the caller holds that loop and re-attaches it on a
 hit -- except for a binding-prefetch run (:func:`binds_prefetch`), which
-keeps the transformed loop it scheduled.  A result pickles its graph in
-compact form and builds it only when read (see
+keeps the transformed loop it scheduled.  A result pickles its graph and
+its placements in compact form and builds them only when read (see
 :class:`~repro.core.result.ScheduleResult`), so a disk hit costs the
 run's numbers, not its objects.
 """
@@ -65,8 +65,9 @@ __all__ = ["CACHE_SCHEMA_VERSION", "EvalCache", "binds_prefetch", "schedule_key"
 #: normal release version bump without touching this constant.
 #: (v2: the scheduler token became the policy bundle's name + axes.
 #: v3: entries hold no loop unless binding prefetch transformed it, and a
-#: result pickles its graph for a deferred build.)
-CACHE_SCHEMA_VERSION: int = 3
+#: result pickles its graph for a deferred build.
+#: v4: a result pickles its placements as tuples for a deferred build.)
+CACHE_SCHEMA_VERSION: int = 4
 
 
 def _rf_token(rf: RFConfig) -> Tuple:

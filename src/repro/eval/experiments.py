@@ -783,8 +783,9 @@ def run_figure4(
                 continue
             loadr_per_cluster = [0] * n_clusters
             storer_per_cluster = [0] * n_clusters
+            assignments = result.assignments
             for op in result.graph.communication_operations():
-                placed = result.assignments.get(op.node_id)
+                placed = assignments.get(op.node_id)
                 if placed is None or placed.cluster is None or placed.cluster < 0:
                     continue
                 if op.op.mnemonic == "loadr":

@@ -57,10 +57,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.core.result import ScheduledOp, ScheduleResult
+from repro.core.result import ScheduleResult
 from repro.ddg.analysis import MIIBreakdown
 from repro.ddg.loop import Loop
-from repro.ddg.operations import OpType
+from repro.ddg.operations import OP_VALUES
 from repro.eval.metrics import LoopRun
 from repro.eval.reporting import ConfigurationReport
 from repro.eval.shards import (
@@ -348,17 +348,6 @@ def schedule_result_to_dict(result: ScheduleResult) -> Dict:
     ``n_slot_probes``, ...) are process-local telemetry and are not
     written.
     """
-    assignments = [
-        {
-            "node": placed.node_id,
-            "op": placed.op.value,
-            "cycle": placed.cycle,
-            "cluster": placed.cluster,
-        }
-        for placed in sorted(
-            result.assignments.values(), key=lambda placed: placed.node_id
-        )
-    ]
     return {
         "loop_name": result.loop_name,
         "config_name": result.config_name,
@@ -367,7 +356,7 @@ def schedule_result_to_dict(result: ScheduleResult) -> Dict:
         "mii": result.mii,
         "mii_breakdown": _mii_breakdown_to_dict(result.mii_breakdown),
         "stage_count": result.stage_count,
-        "assignments": assignments,
+        "assignments": result.assignments_json(),
         "graph": result.graph_json(),
         "register_usage": {
             str(bank): usage for bank, usage in sorted(result.register_usage.items())
@@ -383,29 +372,57 @@ def schedule_result_to_dict(result: ScheduleResult) -> Dict:
     }
 
 
+_ASSIGNMENT_KEYS = frozenset({"node", "op", "cycle", "cluster"})
+
+
+def _check_assignments_json(entries: object) -> None:
+    """Raise unless ``entries`` are placements as
+    :func:`schedule_result_to_dict` writes them.
+
+    Builds nothing: a decoded result keeps the entries and re-encodes
+    them verbatim, so anything but the canonical form is refused -- an
+    entry that is not a dict of exactly ``node``, ``op``, ``cycle`` and
+    ``cluster``, an unknown op, a ``node`` or ``cycle`` that is not an
+    ``int``, a ``cluster`` that is neither an ``int`` nor ``None``, and
+    node ids that repeat or are out of order.  Raises ``ValueError``, or
+    ``TypeError`` when ``entries`` is not a list.
+    """
+    if not isinstance(entries, list):
+        raise TypeError(f"assignments must be a list, got {type(entries).__name__}")
+    previous = None
+    for entry in entries:
+        if not isinstance(entry, dict) or entry.keys() != _ASSIGNMENT_KEYS:
+            raise ValueError(f"placement {entry!r} is not a node/op/cycle/cluster entry")
+        node, cycle, cluster = entry["node"], entry["cycle"], entry["cluster"]
+        # type() is int, not isinstance: JSON true would pass as 1.
+        if type(node) is not int or type(cycle) is not int or not (
+            cluster is None or type(cluster) is int
+        ):
+            raise ValueError(f"placement {entry!r} holds a non-integer field")
+        if entry["op"] not in OP_VALUES:
+            raise ValueError(f"placement {entry!r} has an unknown op")
+        if previous is not None and node <= previous:
+            raise ValueError(f"placement node ids are not increasing at {node}")
+        previous = node
+
+
 def schedule_result_from_dict(payload: Dict) -> ScheduleResult:
     """Rebuild a :class:`ScheduleResult` from its ``data`` payload.
 
-    The final graph is checked here (a payload that would not build
-    raises now, not on first use) but built only when ``result.graph``
-    is first read; until then the result re-encodes to the stored graph
-    payload.  Node ids are preserved, so ``assignments`` (keyed by node
-    id) stay valid verbatim.  Envelopes written before 1.12 also carry
+    The final graph and the placements are checked here (a payload that
+    would not build raises now, not on first use) but built only when
+    ``result.graph`` or ``result.assignments`` is first read; until then
+    the result re-encodes to the stored payloads.  Node ids are
+    preserved, so ``assignments`` (keyed by node id) stay valid
+    verbatim.  Envelopes written before 1.12 also carry
     ``n_pressure_checks`` and ``n_full_sweeps``; those keys are ignored,
     and the rebuilt counters read 0.
     """
     graph_payload = payload.get("graph")
     if graph_payload is not None:
         check_graph_json(graph_payload)
-    assignments: Dict[int, ScheduledOp] = {}
-    for entry in payload.get("assignments", ()):
-        node_id = entry["node"]
-        assignments[node_id] = ScheduledOp(
-            node_id=node_id,
-            op=OpType(entry["op"]),
-            cycle=int(entry["cycle"]),
-            cluster=entry.get("cluster"),
-        )
+    entries = payload.get("assignments", [])
+    _check_assignments_json(entries)
     result = ScheduleResult(
         loop_name=payload["loop_name"],
         config_name=payload["config_name"],
@@ -414,7 +431,6 @@ def schedule_result_from_dict(payload: Dict) -> ScheduleResult:
         mii=int(payload["mii"]),
         mii_breakdown=_mii_breakdown_from_dict(payload["mii_breakdown"]),
         stage_count=int(payload["stage_count"]),
-        assignments=assignments,
         register_usage={
             int(bank): int(usage)
             for bank, usage in (payload.get("register_usage") or {}).items()
@@ -433,8 +449,7 @@ def schedule_result_from_dict(payload: Dict) -> ScheduleResult:
         ],
         policy=payload.get("policy", "mirs_hc"),
     )
-    if graph_payload is not None:
-        result.defer_graph(graph_payload)
+    result.defer(graph_payload, entries)
     return result
 
 

@@ -68,4 +68,4 @@ def apply_binding_prefetch(
     """Mark the selected loads so the scheduler uses the miss latency for them."""
     for node_id in prefetched:
         if node_id in graph:
-            graph.node(node_id).latency_override = miss_latency
+            graph.set_latency_override(node_id, miss_latency)

@@ -59,15 +59,16 @@ def _memory_schedule(
     """Per-iteration memory issue plan: (issue cycle, kind, node, earliest consumer cycle+distance*II)."""
     graph = result.graph
     assert graph is not None
+    assignments = result.assignments
     plan: List[Tuple[int, OpType, int, Optional[int]]] = []
     for op in graph.memory_operations():
-        placed = result.assignments.get(op.node_id)
+        placed = assignments.get(op.node_id)
         if placed is None:
             continue
         consumer_time: Optional[int] = None
         if op.op is OpType.LOAD:
             for dst, edge in graph.flow_consumers(op.node_id):
-                dst_placed = result.assignments.get(dst)
+                dst_placed = assignments.get(dst)
                 if dst_placed is None:
                     continue
                 t = dst_placed.cycle + edge.distance * result.ii

@@ -22,11 +22,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.ddg.graph import DepGraph
 from repro.ddg.loop import Loop
-from repro.ddg.operations import MemRef, OpType
+from repro.ddg.operations import OP_VALUES, MemRef, OpType
 from repro.machine.config import MachineConfig, RFConfig
 from repro.machine.presets import config_by_name
 
@@ -34,6 +35,7 @@ __all__ = [
     "CORPUS_SCHEMA_VERSION",
     "CorpusCase",
     "graph_to_json",
+    "graph_state_to_json",
     "graph_from_json",
     "check_graph_json",
     "loop_to_json",
@@ -60,34 +62,43 @@ def graph_to_json(graph: DepGraph) -> Dict:
     cases, serialized loops and serialized schedule results (see
     :mod:`repro.serialize`) all embed graphs in this shape.
     """
+    return graph_state_to_json(graph.__getstate__())
+
+
+def graph_state_to_json(state: Tuple) -> Dict:
+    """The :func:`graph_to_json` form of a :meth:`DepGraph.__getstate__`
+    tuple, built from its node and edge tuples.
+
+    A result that holds its graph in pickled form (see
+    :class:`~repro.core.result.ScheduleResult`) is encoded without
+    building the graph; a built graph is encoded through its state.
+    """
+    _next_id, node_states, edge_states = state
     nodes = []
-    for op in sorted(graph.nodes(), key=lambda node: node.node_id):
-        entry: Dict[str, object] = {"id": op.node_id, "op": op.op.value}
-        if op.name:
-            entry["name"] = op.name
-        if op.mem_ref is not None:
+    for (node_id, op, name, mem_ref, is_spill, is_inserted, inserted_for,
+         home_cluster, latency_override) in sorted(node_states, key=itemgetter(0)):
+        entry: Dict[str, object] = {"id": node_id, "op": op.value}
+        if name:
+            entry["name"] = name
+        if mem_ref is not None:
             entry["mem_ref"] = {
-                "array": op.mem_ref.array,
-                "stride_bytes": op.mem_ref.stride_bytes,
-                "offset_bytes": op.mem_ref.offset_bytes,
-                "footprint_bytes": op.mem_ref.footprint_bytes,
+                "array": mem_ref.array,
+                "stride_bytes": mem_ref.stride_bytes,
+                "offset_bytes": mem_ref.offset_bytes,
+                "footprint_bytes": mem_ref.footprint_bytes,
             }
-        for flag in ("is_spill", "is_inserted"):
-            if getattr(op, flag):
-                entry[flag] = True
-        if op.inserted_for is not None:
-            entry["inserted_for"] = op.inserted_for
-        if op.home_cluster is not None:
-            entry["home_cluster"] = op.home_cluster
-        if op.latency_override is not None:
-            entry["latency_override"] = op.latency_override
+        if is_spill:
+            entry["is_spill"] = True
+        if is_inserted:
+            entry["is_inserted"] = True
+        if inserted_for is not None:
+            entry["inserted_for"] = inserted_for
+        if home_cluster is not None:
+            entry["home_cluster"] = home_cluster
+        if latency_override is not None:
+            entry["latency_override"] = latency_override
         nodes.append(entry)
-    edges = [
-        [edge.src, edge.dst, edge.distance, edge.kind]
-        for edge in sorted(
-            graph.edges(), key=lambda e: (e.src, e.dst, e.distance, e.kind)
-        )
-    ]
+    edges = [list(edge) for edge in sorted(edge_states)]
     return {"nodes": nodes, "edges": edges}
 
 
@@ -113,7 +124,8 @@ def graph_from_json(payload: Dict) -> DepGraph:
                 offset_bytes=mr.get("offset_bytes", 0),
                 footprint_bytes=mr.get("footprint_bytes"),
             )
-        node_id = graph.add_node(
+        override = entry.get("latency_override")
+        graph.add_node(
             OpType(entry["op"]),
             name=entry.get("name", ""),
             mem_ref=ref,
@@ -121,16 +133,12 @@ def graph_from_json(payload: Dict) -> DepGraph:
             is_inserted=bool(entry.get("is_inserted", False)),
             inserted_for=entry.get("inserted_for"),
             home_cluster=entry.get("home_cluster"),
+            latency_override=int(override) if override is not None else None,
             node_id=int(entry["id"]),
         )
-        if entry.get("latency_override") is not None:
-            graph.node(node_id).latency_override = int(entry["latency_override"])
     for src, dst, distance, kind in payload["edges"]:
         graph.add_edge(src, dst, distance=distance, kind=kind)
     return graph
-
-
-_OP_VALUES = frozenset(op.value for op in OpType)
 
 
 def check_graph_json(payload: Dict) -> None:
@@ -146,7 +154,7 @@ def check_graph_json(payload: Dict) -> None:
     """
     ids = set()
     for entry in payload["nodes"]:
-        if entry["op"] not in _OP_VALUES:
+        if entry["op"] not in OP_VALUES:
             raise ValueError(f"unknown op {entry['op']!r}")
         node_id = int(entry["id"])
         if node_id in ids:

@@ -344,5 +344,5 @@ class TestLoopFingerprint:
         loop = tiny_suite()[0].copy()
         base = loop.fingerprint()
         load = next(op for op in loop.graph.nodes() if op.op.mnemonic == "load")
-        load.latency_override = 99
+        loop.graph.set_latency_override(load.node_id, 99)
         assert loop.fingerprint() != base

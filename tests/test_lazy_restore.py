@@ -1,11 +1,11 @@
 """A restored run costs only its numbers until something reads its graph.
 
 Restores from a shard checkpoint or a disk :class:`EvalCache` take the
-caller's loop and keep the result's final graph in stored form; the
-first read of ``result.graph`` builds it.  Digests, payloads, report
-aggregates and pickling must not build it.  Binding-prefetch runs are
-the exception to the caller's-loop rule: they keep the transformed loop
-they scheduled.
+caller's loop and keep the result's final graph and placements in stored
+form; the first read of ``result.graph`` or ``result.assignments``
+builds it.  Digests, payloads, report aggregates and pickling must not
+build either.  Binding-prefetch runs are the exception to the
+caller's-loop rule: they keep the transformed loop they scheduled.
 """
 
 from __future__ import annotations
@@ -18,8 +18,10 @@ import pytest
 
 import repro.verify.corpus as corpus
 from repro import serialize
+from repro.core.result import ScheduledOp, ScheduleResult
 from repro.core.validate import validate_schedule
 from repro.ddg.graph import DepGraph
+from repro.ddg.operations import OpType
 from repro.eval.cache import EvalCache
 from repro.eval.experiments import schedule_suite
 from repro.eval.reporting import ConfigurationReport
@@ -160,7 +162,7 @@ def test_built_graph_pickles_for_a_deferred_build(populated, builds):
     clone = pickle.loads(pickle.dumps(result))
     assert builds["pickle"] == 0
     assert clone.to_dict() == result.to_dict()
-    assert builds["pickle"] == 1
+    assert builds["pickle"] == 0
 
 
 def test_assigning_the_graph_drops_the_stored_payload(populated, builds):
@@ -228,12 +230,41 @@ def _corrupt_missing_edge_node(data):
     graph["edges"].append([graph["nodes"][0]["id"], 10_000, 0, "flow"])
 
 
+def _corrupt_placement_op(data):
+    data["runs"][0]["result"]["assignments"][0]["op"] = "frobnicate"
+
+
+def _corrupt_placement_cycle_text(data):
+    entry = data["runs"][0]["result"]["assignments"][0]
+    entry["cycle"] = str(entry["cycle"])
+
+
+def _corrupt_placement_repeated_node(data):
+    entries = data["runs"][0]["result"]["assignments"]
+    entries[1]["node"] = entries[0]["node"]
+
+
+def _corrupt_placement_order(data):
+    entries = data["runs"][0]["result"]["assignments"]
+    entries[0], entries[1] = entries[1], entries[0]
+
+
+def _corrupt_placements_not_a_list(data):
+    data["runs"][0]["result"]["assignments"] = 5
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_corrupt_runs, _corrupt_result_nodes, _corrupt_loop_nodes,
-     _corrupt_unknown_op, _corrupt_missing_edge_node],
+     _corrupt_unknown_op, _corrupt_missing_edge_node,
+     _corrupt_placement_op, _corrupt_placement_cycle_text,
+     _corrupt_placement_repeated_node, _corrupt_placement_order,
+     _corrupt_placements_not_a_list],
     ids=["runs-not-a-list", "result-nodes-not-dicts", "loop-nodes-a-string",
-         "unknown-op", "edge-to-missing-node"],
+         "unknown-op", "edge-to-missing-node",
+         "placement-unknown-op", "placement-cycle-text",
+         "placement-repeated-node", "placement-out-of-order",
+         "placements-not-a-list"],
 )
 def test_wrong_shape_envelope_is_a_counted_miss(loops, populated, tmp_path, corrupt):
     """Valid JSON of the wrong shape is an invalid checkpoint, never a crash:
@@ -255,3 +286,112 @@ def test_wrong_shape_envelope_is_a_counted_miss(loops, populated, tmp_path, corr
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert store.get(shard, [loops[p] for p in shard.positions]) is not None
+
+
+# --------------------------------------------------------------------------- #
+# Placements on first read, and the graph encoded from its pickled state
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def placements_built(monkeypatch):
+    """Count :class:`ScheduledOp` constructions."""
+    counts = {"n": 0}
+    init = ScheduledOp.__init__
+
+    def counted_init(placed, *args, **kwargs):
+        counts["n"] += 1
+        init(placed, *args, **kwargs)
+
+    monkeypatch.setattr(ScheduledOp, "__init__", counted_init)
+    return counts
+
+
+@pytest.mark.parametrize("source", ["checkpoint", "cache"])
+def test_digests_and_payloads_build_no_placement(
+    loops, populated, placements_built, builds, source
+):
+    """A JSON restore (checkpoint) and a pickle restore (disk cache) digest
+    and encode from the stored placements and graph."""
+    directory, cold = populated
+    restored = _restore(loops, directory, source)
+    assert runs_digest(restored) == runs_digest(cold)
+    assert [run.result.to_dict() for run in restored] == [
+        run.result.to_dict() for run in cold
+    ]
+    assert placements_built["n"] == 0
+    assert builds == {"json": 0, "pickle": 0}
+    assert restored[0].result.assignments == cold[0].result.assignments
+    assert placements_built["n"] == len(cold[0].result.assignments)
+
+
+def eager_assignments(entries):
+    """The placements as the eager decode built them before they were
+    kept in stored form."""
+    assignments = {}
+    for entry in entries:
+        node_id = entry["node"]
+        assignments[node_id] = ScheduledOp(
+            node_id=node_id,
+            op=OpType(entry["op"]),
+            cycle=int(entry["cycle"]),
+            cluster=entry.get("cluster"),
+        )
+    return assignments
+
+
+def node_by_node_graph_json(graph):
+    """The graph encoder as it was written against a built graph, before
+    :func:`repro.verify.corpus.graph_state_to_json` took its place."""
+    nodes = []
+    for op in sorted(graph.nodes(), key=lambda node: node.node_id):
+        entry = {"id": op.node_id, "op": op.op.value}
+        if op.name:
+            entry["name"] = op.name
+        if op.mem_ref is not None:
+            entry["mem_ref"] = {
+                "array": op.mem_ref.array,
+                "stride_bytes": op.mem_ref.stride_bytes,
+                "offset_bytes": op.mem_ref.offset_bytes,
+                "footprint_bytes": op.mem_ref.footprint_bytes,
+            }
+        for flag in ("is_spill", "is_inserted"):
+            if getattr(op, flag):
+                entry[flag] = True
+        if op.inserted_for is not None:
+            entry["inserted_for"] = op.inserted_for
+        if op.home_cluster is not None:
+            entry["home_cluster"] = op.home_cluster
+        if op.latency_override is not None:
+            entry["latency_override"] = op.latency_override
+        nodes.append(entry)
+    edges = [
+        [edge.src, edge.dst, edge.distance, edge.kind]
+        for edge in sorted(graph.edges(), key=lambda e: (e.src, e.dst, e.distance, e.kind))
+    ]
+    return {"nodes": nodes, "edges": edges}
+
+
+@pytest.fixture(scope="module", params=["S64", "4C16S16"])
+def tiny_cold(request):
+    return schedule_suite(build_workbench("tiny"), request.param)
+
+
+def test_pickled_graph_encodes_like_the_built_graph(tiny_cold, builds):
+    """The JSON of a pickled, unbuilt graph is byte-identical to encoding
+    the built graph, for every tiny-tier run."""
+    for run in tiny_cold:
+        expected = json.dumps(node_by_node_graph_json(run.result.graph))
+        assert json.dumps(corpus.graph_to_json(run.result.graph)) == expected
+        clone = pickle.loads(pickle.dumps(run.result))
+        assert json.dumps(clone.graph_json()) == expected
+    assert builds == {"json": 0, "pickle": 0}
+
+
+def test_first_read_of_placements_equals_the_eager_decode(tiny_cold):
+    for run in tiny_cold:
+        payload = run.result.to_dict()
+        eager = eager_assignments(payload["assignments"])
+        assert eager == run.result.assignments
+        assert ScheduleResult.from_dict(payload).assignments == eager
+        assert pickle.loads(pickle.dumps(run.result)).assignments == eager
+        unpickled = pickle.loads(pickle.dumps(ScheduleResult.from_dict(payload)))
+        assert unpickled.assignments == eager
