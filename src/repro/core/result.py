@@ -85,11 +85,12 @@ class _Deferred:
     The instance dict holds the built value under the field's name and,
     while it is unbuilt, its stored form under ``_stored_<name>``; the
     first read builds the value with ``build`` and drops the stored form,
-    and assigning the field drops it too.  ``empty`` makes the value an
-    assignment of ``None`` stores (the field's default).  A data
-    descriptor on the result, not laziness on :class:`DepGraph`: a
-    class-level ``__getattr__`` would slow every attribute load of the
-    scheduler's hottest object.
+    and assigning the field drops it too.  With ``empty``, assigning
+    ``None`` (the field's default) stores ``empty()``, so a result made
+    without placements holds an empty dict.  A data descriptor on the
+    result, not laziness on :class:`DepGraph`: a class-level
+    ``__getattr__`` would slow every attribute load of the scheduler's
+    hottest object.
     """
 
     def __init__(
@@ -211,13 +212,13 @@ class ScheduleResult:
         if isinstance(stored, dict):
             return stored
         if stored is None:
-            graph = self.__dict__["graph"]
+            graph = self.graph
             if graph is None:
                 return None
             stored = graph.__getstate__()
         return graph_state_to_json(stored)
 
-    def placements(self) -> List[Placement]:
+    def _placements(self) -> List[Placement]:
         """Every placement as a node-sorted :data:`Placement` tuple.
 
         Unread stored placements are converted, not built into
@@ -245,7 +246,7 @@ class ScheduleResult:
             return stored
         return [
             {"node": node, "op": op, "cycle": cycle, "cluster": cluster}
-            for node, op, cycle, cluster in self.placements()
+            for node, op, cycle, cluster in self._placements()
         ]
 
     def __getstate__(self) -> Dict:
@@ -259,7 +260,7 @@ class ScheduleResult:
             state["graph"] = None
             state["_stored_graph"] = graph.__getstate__()
         state["assignments"] = None
-        state["_stored_assignments"] = self.placements()
+        state["_stored_assignments"] = self._placements()
         return state
 
     @property
