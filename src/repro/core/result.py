@@ -22,9 +22,9 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.ddg.analysis import MIIBreakdown
 from repro.ddg.graph import DepGraph
-from repro.ddg.operations import OpType
+from repro.ddg.operations import OP_VALUES, OpType
 
-__all__ = ["ScheduledOp", "ScheduleResult"]
+__all__ = ["ScheduledOp", "ScheduleResult", "check_assignments_json"]
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,39 @@ def _build_assignments(stored: List) -> Dict[int, ScheduledOp]:
         node: ScheduledOp(node, OpType(op), cycle, cluster)
         for node, op, cycle, cluster in _placement_tuples(stored)
     }
+
+
+def check_assignments_json(entries: object) -> None:
+    """Raise unless ``entries`` are placements as
+    :func:`repro.serialize.schedule_result_to_dict` writes them.
+
+    Builds nothing: a decoded result keeps the entries and re-encodes
+    them verbatim (see :meth:`ScheduleResult.assignments_json`), so
+    anything but the canonical form is refused -- an entry that is not a
+    dict of exactly ``node``, ``op``, ``cycle`` and ``cluster``, an
+    unknown op, a ``node`` or ``cycle`` that is not an ``int``, a
+    ``cluster`` that is neither an ``int`` nor ``None``, and node ids
+    that repeat or are out of order.  Raises ``ValueError``, ``KeyError``
+    for a missing key, or ``TypeError`` when ``entries`` is not a list.
+    """
+    if not isinstance(entries, list):
+        raise TypeError(f"assignments must be a list, got {type(entries).__name__}")
+    previous = float("-inf")
+    for entry in entries:
+        # Four keys, each looked up below: exactly the canonical ones.
+        if not isinstance(entry, dict) or len(entry) != 4:
+            raise ValueError(f"placement {entry!r} is not a node/op/cycle/cluster entry")
+        node, cycle, cluster = entry["node"], entry["cycle"], entry["cluster"]
+        # type() is int, not isinstance: JSON true would pass as 1.
+        if type(node) is not int or type(cycle) is not int or not (
+            cluster is None or type(cluster) is int
+        ):
+            raise ValueError(f"placement {entry!r} holds a non-integer field")
+        if entry["op"] not in OP_VALUES:
+            raise ValueError(f"placement {entry!r} has an unknown op")
+        if node <= previous:
+            raise ValueError(f"placement node ids are not increasing at {node}")
+        previous = node
 
 
 class _Deferred:
@@ -193,7 +226,7 @@ class ScheduleResult:
         entries as this result's ``graph`` and ``assignments``, each
         built on its first read.  The caller vouches that both build
         (see :func:`~repro.verify.corpus.check_graph_json` and
-        ``repro.serialize._check_assignments_json``)."""
+        :func:`check_assignments_json`)."""
         state = self.__dict__
         state["graph"] = None
         state["_stored_graph"] = graph

@@ -57,10 +57,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.core.result import ScheduleResult
+from repro.core.result import ScheduleResult, check_assignments_json
 from repro.ddg.analysis import MIIBreakdown
 from repro.ddg.loop import Loop
-from repro.ddg.operations import OP_VALUES
 from repro.eval.metrics import LoopRun
 from repro.eval.reporting import ConfigurationReport
 from repro.eval.shards import (
@@ -372,40 +371,6 @@ def schedule_result_to_dict(result: ScheduleResult) -> Dict:
     }
 
 
-_ASSIGNMENT_KEYS = frozenset({"node", "op", "cycle", "cluster"})
-
-
-def _check_assignments_json(entries: object) -> None:
-    """Raise unless ``entries`` are placements as
-    :func:`schedule_result_to_dict` writes them.
-
-    Builds nothing: a decoded result keeps the entries and re-encodes
-    them verbatim, so anything but the canonical form is refused -- an
-    entry that is not a dict of exactly ``node``, ``op``, ``cycle`` and
-    ``cluster``, an unknown op, a ``node`` or ``cycle`` that is not an
-    ``int``, a ``cluster`` that is neither an ``int`` nor ``None``, and
-    node ids that repeat or are out of order.  Raises ``ValueError``, or
-    ``TypeError`` when ``entries`` is not a list.
-    """
-    if not isinstance(entries, list):
-        raise TypeError(f"assignments must be a list, got {type(entries).__name__}")
-    previous = None
-    for entry in entries:
-        if not isinstance(entry, dict) or entry.keys() != _ASSIGNMENT_KEYS:
-            raise ValueError(f"placement {entry!r} is not a node/op/cycle/cluster entry")
-        node, cycle, cluster = entry["node"], entry["cycle"], entry["cluster"]
-        # type() is int, not isinstance: JSON true would pass as 1.
-        if type(node) is not int or type(cycle) is not int or not (
-            cluster is None or type(cluster) is int
-        ):
-            raise ValueError(f"placement {entry!r} holds a non-integer field")
-        if entry["op"] not in OP_VALUES:
-            raise ValueError(f"placement {entry!r} has an unknown op")
-        if previous is not None and node <= previous:
-            raise ValueError(f"placement node ids are not increasing at {node}")
-        previous = node
-
-
 def schedule_result_from_dict(payload: Dict) -> ScheduleResult:
     """Rebuild a :class:`ScheduleResult` from its ``data`` payload.
 
@@ -422,7 +387,7 @@ def schedule_result_from_dict(payload: Dict) -> ScheduleResult:
     if graph_payload is not None:
         check_graph_json(graph_payload)
     entries = payload.get("assignments", [])
-    _check_assignments_json(entries)
+    check_assignments_json(entries)
     result = ScheduleResult(
         loop_name=payload["loop_name"],
         config_name=payload["config_name"],

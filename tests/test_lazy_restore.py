@@ -395,3 +395,27 @@ def test_first_read_of_placements_equals_the_eager_decode(tiny_cold):
         assert pickle.loads(pickle.dumps(run.result)).assignments == eager
         unpickled = pickle.loads(pickle.dumps(ScheduleResult.from_dict(payload)))
         assert unpickled.assignments == eager
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda payload: payload["assignments"][0].update(extra=1),
+        lambda payload: payload["assignments"][0].pop("cluster"),
+        lambda payload: payload["assignments"][0].update(cycle=True),
+        lambda payload: payload["assignments"][0].update(node=0.0),
+        lambda payload: payload["assignments"][0].update(cluster="0"),
+        lambda payload: payload["assignments"].__setitem__(0, [0, "fadd", 0, None]),
+        lambda payload: payload.update(assignments={}),
+    ],
+    ids=["extra-key", "missing-cluster", "bool-cycle", "float-node",
+         "text-cluster", "entry-a-list", "empty-dict"],
+)
+def test_non_canonical_placements_are_refused(populated, corrupt):
+    """Stored placements are re-emitted verbatim, so a payload the encoder
+    would not write is refused at decode, never re-encoded differently."""
+    _directory, cold = populated
+    payload = json.loads(json.dumps(cold[0].result.to_dict()))
+    corrupt(payload)
+    with pytest.raises((ValueError, KeyError, TypeError)):
+        ScheduleResult.from_dict(payload)
