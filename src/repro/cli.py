@@ -742,6 +742,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         pass
     finally:
         server.shutdown()
+        server.server_close()
         scheduler.shutdown()
         session.close()
     return 0

@@ -1,9 +1,17 @@
 """HTTP front end (and client) for the batch scheduling service.
 
 Pure standard library -- :class:`http.server.ThreadingHTTPServer` on the
-serving side, :mod:`urllib.request` on the client side -- so ``repro
+serving side, :mod:`http.client` on the client side -- so ``repro
 serve`` / ``repro submit`` / ``repro worker`` add no dependencies.  The
 wire format is the versioned JSON of :mod:`repro.serialize`.
+
+Connections persist (HTTP/1.1, ``TCP_NODELAY`` on both ends): the server
+answers any number of requests on one connection, and each client thread
+keeps one connection open for its next call, so a job no longer pays a
+TCP handshake and a server thread per request.  A URL that urllib would
+send through an environment proxy (``http_proxy`` and friends, minus
+``no_proxy``) still goes through :mod:`urllib.request`, one connection
+per call.  See "Transport" in ``docs/service.md``.
 
 Endpoints (all JSON; paths are routed on the *path* component, so query
 strings are accepted and ignored):
@@ -46,17 +54,26 @@ exponential backoff -- a blip must not kill an hours-long poll while the
 job keeps running server-side.  HTTP-level errors (4xx/5xx) are real
 answers and are never retried; ``submit_job`` also never retries, since
 re-POSTing a submission that may have been accepted would double-submit.
+A request that finds its kept connection closed by the server before any
+answer arrives is sent once more on a fresh connection -- outside the
+retry budget, and never for ``submit_job`` (RFC 9112 section 9.3.1).
 """
 
 from __future__ import annotations
 
+import functools
+import http.client
 import json
+import select
+import socket
+import threading
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import serialize
 from repro.service.batch import BatchScheduler, QuotaExceeded
@@ -84,21 +101,75 @@ DEFAULT_MAX_BODY_BYTES: int = 64 * 1024 * 1024
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
-    """An HTTP server bound to one :class:`BatchScheduler`."""
+    """An HTTP server bound to one :class:`BatchScheduler`.
 
-    daemon_threads = True
+    Each accepted connection is served by one daemon thread for as long
+    as the client keeps it open.  :meth:`server_close` ends every open
+    connection and joins its thread.
+    """
 
     def __init__(self, address: Tuple[str, int], scheduler: BatchScheduler,
                  *, verbose: bool = False,
                  max_body_bytes: int = DEFAULT_MAX_BODY_BYTES) -> None:
+        # Set before binding: a failed bind calls server_close().
+        self._lock = threading.Lock()
+        #: Accepted sockets not yet closed by their handler thread.
+        self._connections: Set[socket.socket] = set()
+        #: Handler threads, pruned of finished ones at each accept.
+        self._handlers: List[threading.Thread] = []
         super().__init__(address, _Handler)
         self.scheduler = scheduler
         self.verbose = verbose
         self.max_body_bytes = int(max_body_bytes)
 
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(target=self.process_request_thread,
+                                  args=(request, client_address), daemon=True)
+        with self._lock:
+            self._connections.add(request)
+            self._handlers = [t for t in self._handlers if t.is_alive()]
+            thread.start()
+            self._handlers.append(thread)
+
+    def shutdown_request(self, request) -> None:
+        # Forget the socket before it is closed, so server_close() never
+        # shuts down a descriptor that was closed (and maybe reused).
+        with self._lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Stop listening, end every open connection, join every handler.
+
+        A kept connection would otherwise outlive the server: its handler
+        thread would go on answering the client for a closed server, and
+        a new server on the same port would never see that client.
+        """
+        super().server_close()
+        with self._lock:
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RDWR)
+                except OSError:  # the client has already gone
+                    pass
+            handlers, self._handlers = self._handlers, []
+        for thread in handlers:
+            thread.join()
+
 
 class _Handler(BaseHTTPRequestHandler):
+    """Answers every request of one connection (HTTP/1.1, kept open).
+
+    One handler object serves each request on its connection in turn, so
+    whatever a request stores on it is set again by the next request
+    (:meth:`parse_request`).
+    """
+
     server: ServiceHTTPServer
+    protocol_version = "HTTP/1.1"
+    # Headers and body leave in two writes; with Nagle's algorithm the
+    # second waits for the client's delayed ACK (~40 ms per answer).
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------ #
     # Plumbing
@@ -107,13 +178,55 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.verbose:  # pragma: no cover - log formatting
             super().log_message(format, *args)
 
+    def parse_request(self) -> bool:
+        """Parse the request head, then read its body: one place per request.
+
+        A kept connection must never carry an unread body into the next
+        request, which would be parsed from the leftover bytes; so every
+        request's body is read here, whatever its method and route.  A
+        body that cannot be read safely -- an unusable Content-Length,
+        one over the server's ``max_body_bytes``, or any
+        Transfer-Encoding -- closes the connection after the answer, and
+        :meth:`_body` reports the first two as a 400 to the routes that
+        read a body.
+        """
+        if not super().parse_request():
+            return False
+        self._raw_body = b""
+        self._body_error: Optional[str] = None
+        try:
+            length = self._content_length()
+        except ValueError as exc:
+            self._body_error = str(exc)
+            self.close_connection = True
+        else:
+            if length:
+                self._raw_body = self.rfile.read(length)
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+        return True
+
+    def _content_length(self) -> int:
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            raise ValueError(
+                f"Content-Length must be an integer, got "
+                f"{self.headers.get('Content-Length')!r}"
+            )
+        if length < 0:
+            raise ValueError(f"Content-Length must be >= 0, got {length}")
+        limit = getattr(self.server, "max_body_bytes", DEFAULT_MAX_BODY_BYTES)
+        if length > limit:
+            raise ValueError(
+                f"request body of {length} bytes exceeds the service's "
+                f"{limit}-byte limit"
+            )
+        return length
+
     def _send(self, code: int, payload: Dict) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_raw(code, json.dumps(payload, sort_keys=True).encode("utf-8"),
+                       "application/json")
 
     def _error(self, code: int, message: str) -> None:
         self._send(code, {"error": message})
@@ -136,7 +249,7 @@ class _Handler(BaseHTTPRequestHandler):
         return None
 
     def _body(self) -> Dict:
-        """The request body as a JSON object.
+        """The request body (read by :meth:`parse_request`) as a JSON object.
 
         Every malformed shape raises ``ValueError`` -- a non-integer or
         negative Content-Length, a body over the server's
@@ -144,23 +257,10 @@ class _Handler(BaseHTTPRequestHandler):
         -- so every route's handler turns it into a structured 400
         instead of an unhandled-traceback 500.
         """
+        if self._body_error is not None:
+            raise ValueError(self._body_error)
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            raise ValueError(
-                f"Content-Length must be an integer, got "
-                f"{self.headers.get('Content-Length')!r}"
-            )
-        if length < 0:
-            raise ValueError(f"Content-Length must be >= 0, got {length}")
-        limit = getattr(self.server, "max_body_bytes", DEFAULT_MAX_BODY_BYTES)
-        if length > limit:
-            raise ValueError(
-                f"request body of {length} bytes exceeds the service's "
-                f"{limit}-byte limit"
-            )
-        try:
-            payload = json.loads(self.rfile.read(length) or b"{}")
+            payload = json.loads(self._raw_body or b"{}")
         except json.JSONDecodeError as exc:
             raise ValueError(f"request body is not valid JSON: {exc}")
         if not isinstance(payload, dict):
@@ -173,6 +273,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -187,14 +289,26 @@ class _Handler(BaseHTTPRequestHandler):
         return db
 
     def _report_query(self):
-        """The URL query string as a validated ReportQuery."""
+        """The URL query string as a validated ReportQuery and its format.
+
+        ``format`` is the rendering knob, not a filter: ``html`` (the
+        default) or ``csv``, given at most once.  Anything else raises
+        ``ValueError``, like every malformed report parameter.
+        """
         from repro.report import ReportQuery
 
         params = urllib.parse.parse_qs(
             urllib.parse.urlsplit(self.path).query, keep_blank_values=False
         )
-        params.pop("format", None)  # rendering knob, not a filter
-        return ReportQuery.from_params(params)
+        formats = params.pop("format", ["html"])
+        if len(formats) > 1:
+            raise ValueError("report parameter 'format' given more than once")
+        if formats[0] not in ("html", "csv"):
+            raise ValueError(
+                f"report parameter 'format' must be 'html' or 'csv', "
+                f"got {formats[0]!r}"
+            )
+        return ReportQuery.from_params(params), formats[0]
 
     def _coordinator(self):
         coordinator = getattr(self.server.scheduler, "coordinator", None)
@@ -237,7 +351,7 @@ class _Handler(BaseHTTPRequestHandler):
             if db is None:
                 return
             try:
-                query = self._report_query()
+                query, _ = self._report_query()
             except ValueError as exc:
                 self._error(400, str(exc))
                 return
@@ -255,13 +369,12 @@ class _Handler(BaseHTTPRequestHandler):
             from repro.report import build_report, render_csv, render_html
 
             try:
-                query = self._report_query()
+                query, render_as = self._report_query()
             except ValueError as exc:
                 self._error(400, str(exc))
                 return
-            wants_csv = "format=csv" in urllib.parse.urlsplit(self.path).query
             data = build_report(db, query)
-            if wants_csv:
+            if render_as == "csv":
                 self._send_raw(200, render_csv(data.rows).encode("utf-8"),
                                "text/csv; charset=utf-8")
             else:
@@ -416,6 +529,134 @@ def make_server(
 # --------------------------------------------------------------------------- #
 # Client helpers (what ``repro submit`` and the worker loop run on)
 # --------------------------------------------------------------------------- #
+class _KeptConnection:
+    """One thread's persistent connection to one origin.
+
+    The finalizer closes the socket when the connection is dropped or
+    replaced, when its thread ends (the thread-local releases it) and at
+    interpreter exit.
+    """
+
+    def __init__(self, scheme: str, netloc: str, timeout: float) -> None:
+        factory = (http.client.HTTPSConnection if scheme == "https"
+                   else http.client.HTTPConnection)
+        self.origin = (scheme, netloc)
+        self.connection = factory(netloc, timeout=timeout)
+        self.close = weakref.finalize(self, self.connection.close)
+
+
+#: Each thread's kept connection (``.kept``): ``http.client`` connections
+#: are not thread-safe, so threads never share one.
+_local = threading.local()
+
+
+def _drop_connection() -> None:
+    """Close and forget this thread's kept connection, if it has one."""
+    kept = getattr(_local, "kept", None)
+    _local.kept = None
+    if kept is not None:
+        kept.close()
+
+
+def _idle_and_open(sock: Optional[socket.socket]) -> bool:
+    """Whether a kept socket can carry the next request.
+
+    An idle connection has nothing to read.  One that polls readable has
+    been closed by the server (a restart, or ``server_close()``), or
+    holds bytes no request asked for; either way it is not reused.
+    ``select`` refuses descriptors past ``FD_SETSIZE``: such a socket is
+    not reused either.
+    """
+    if sock is None:
+        return False
+    try:
+        readable, _, _ = select.select([sock], [], [], 0)
+    except (OSError, ValueError):
+        return False
+    return not readable
+
+
+def _thread_connection(parts: urllib.parse.SplitResult,
+                       timeout: float) -> Tuple[_KeptConnection, bool]:
+    """This thread's connection to the URL's origin, and whether it is reused."""
+    kept = getattr(_local, "kept", None)
+    if (kept is not None and kept.origin == (parts.scheme, parts.netloc)
+            and _idle_and_open(kept.connection.sock)):
+        kept.connection.sock.settimeout(timeout)
+        return kept, True
+    _drop_connection()
+    kept = _local.kept = _KeptConnection(parts.scheme, parts.netloc, timeout)
+    return kept, False
+
+
+def _send(connection: http.client.HTTPConnection, verb: str, target: str,
+          body: Optional[bytes]) -> http.client.HTTPResponse:
+    headers = {"Content-Type": "application/json"} if body else {}
+    connection.request(verb, target, body=body, headers=headers)
+    return connection.getresponse()
+
+
+def _kept_exchange(parts: urllib.parse.SplitResult, verb: str,
+                   body: Optional[bytes], timeout: float,
+                   idempotent: bool) -> Tuple[int, bytes]:
+    """One request on this thread's kept connection: (status, body).
+
+    A request whose reused connection fails before any answer arrives
+    -- the server closed it just as the request went out -- is sent once
+    more on a fresh connection, but only when it is ``idempotent``
+    (RFC 9112 section 9.3.1): a job request that may have reached the
+    server is never sent twice.
+    """
+    target = parts.path or "/"
+    if parts.query:
+        target += "?" + parts.query
+    kept, reused = _thread_connection(parts, timeout)
+    try:
+        try:
+            response = _send(kept.connection, verb, target, body)
+        except ConnectionError:
+            if not (reused and idempotent):
+                raise
+            _drop_connection()
+            kept, _ = _thread_connection(parts, timeout)
+            response = _send(kept.connection, verb, target, body)
+        payload = response.read()
+    except BaseException:
+        _drop_connection()
+        raise
+    if response.will_close:
+        _drop_connection()
+    return response.status, payload
+
+
+def _urllib_exchange(url: str, verb: str, body: Optional[bytes],
+                     timeout: float) -> Tuple[int, bytes]:
+    """One request through :mod:`urllib.request`: (status, body)."""
+    request = urllib.request.Request(
+        url, data=body,
+        headers={"Content-Type": "application/json"} if body else {},
+        method=verb,
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.read()
+
+
+@functools.lru_cache(maxsize=None)
+def _via_urllib(scheme: str, netloc: str) -> bool:
+    """Whether only urllib serves this origin: another scheme, or a proxy.
+
+    The environment's proxies are read once per process (they cost
+    ~0.1 ms a read), as ``urllib.request.urlopen``'s own opener does.
+    """
+    if scheme not in ("http", "https"):
+        return True
+    return (scheme in urllib.request.getproxies()
+            and not urllib.request.proxy_bypass(netloc))
+
+
 def _request_json(
     url: str,
     *,
@@ -425,6 +666,7 @@ def _request_json(
     retries: int,
     backoff: float,
     deadline: Optional[float] = None,
+    idempotent: bool = True,
 ) -> Dict:
     """One JSON request with bounded retry on *transient* failures.
 
@@ -432,23 +674,21 @@ def _request_json(
     DNS blip, socket timeout -- i.e. no HTTP answer arrived at all;
     these retry up to ``retries`` extra times with exponential backoff
     (never past ``deadline``, a monotonic timestamp).  An HTTP error
-    status is an answer and is raised immediately.
+    status is an answer and is raised immediately.  ``idempotent=False``
+    forbids the resend on a fresh connection (see :func:`_kept_exchange`).
     """
     verb = method or ("POST" if data is not None else "GET")
     body = None if data is None else json.dumps(data).encode("utf-8")
+    parts = urllib.parse.urlsplit(url)
+    via_urllib = _via_urllib(parts.scheme, parts.netloc)
     attempt = 0
     while True:
-        request = urllib.request.Request(
-            url, data=body,
-            headers={"Content-Type": "application/json"} if body else {},
-            method=verb,
-        )
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                return json.loads(response.read())
-        except urllib.error.HTTPError as exc:
-            detail = exc.read().decode("utf-8", "replace")
-            raise RuntimeError(f"{verb} {url} failed: {exc.code} {detail}") from exc
+            if via_urllib:
+                status, payload = _urllib_exchange(url, verb, body, timeout)
+            else:
+                status, payload = _kept_exchange(parts, verb, body, timeout,
+                                                 idempotent)
         except (urllib.error.URLError, ConnectionError, TimeoutError, OSError) as exc:
             attempt += 1
             delay = backoff * (2 ** (attempt - 1))
@@ -461,6 +701,11 @@ def _request_json(
                     f"{verb} {url} failed after {attempt} attempt(s): {reason}"
                 ) from exc
             time.sleep(delay)
+            continue
+        if not 200 <= status < 300:
+            detail = payload.decode("utf-8", "replace")
+            raise RuntimeError(f"{verb} {url} failed: {status} {detail}")
+        return json.loads(payload)
 
 
 def fetch_json(
@@ -512,9 +757,10 @@ def submit_job(base_url: str, request: Dict, *, timeout: float = 10.0) -> str:
     the job twice.  Callers that want robust submission should check
     ``GET /v2/jobs`` before retrying.
     """
-    payload = post_json(
-        f"{base_url.rstrip('/')}/v2/jobs", request,
-        timeout=timeout, retries=0,
+    payload = _request_json(
+        f"{base_url.rstrip('/')}/v2/jobs", data=request,
+        timeout=timeout, retries=0, backoff=DEFAULT_BACKOFF_S,
+        idempotent=False,
     )
     return payload["job_id"]
 

@@ -8,9 +8,12 @@ single shared session exactly as ``repro serve`` runs them.
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import threading
+import urllib.request
+from contextlib import contextmanager
 
 import pytest
 
@@ -18,6 +21,7 @@ from repro import serialize
 from repro.service import (
     BatchScheduler,
     JobRequest,
+    ServiceHTTPServer,
     fetch_json,
     make_server,
     poll_job,
@@ -43,6 +47,7 @@ def server(scheduler):
     thread.start()
     yield http_server
     http_server.shutdown()
+    http_server.server_close()
 
 
 @pytest.fixture(scope="module")
@@ -379,6 +384,327 @@ class TestTransientRetry:
 
 
 # --------------------------------------------------------------------------- #
+# Persistent connections: one per client thread, every route on it
+# --------------------------------------------------------------------------- #
+DAXPY = {"kind": "schedule", "params": {"kernel": "daxpy", "config": "S64"}}
+VADD = {"kind": "schedule", "params": {"kernel": "vadd", "config": "S64"}}
+
+
+class _CountingServer(ServiceHTTPServer):
+    """Counts accepted connections and records its handler threads."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.n_accepted = 0
+        self.handler_threads = []
+
+    def process_request(self, request, client_address) -> None:
+        self.n_accepted += 1
+        super().process_request(request, client_address)
+
+    def process_request_thread(self, request, client_address) -> None:
+        self.handler_threads.append(threading.current_thread())
+        super().process_request_thread(request, client_address)
+
+
+@contextmanager
+def _counting_server(scheduler, port=0, **kwargs):
+    server = _CountingServer(("127.0.0.1", port), scheduler, **kwargs)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server, f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+def _helper_calls(url: str) -> None:
+    """Eleven client-helper calls: answers and HTTP errors alike."""
+    from repro.service.http import _request_json
+
+    assert fetch_json(f"{url}/v2/health")["status"] == "ok"
+    assert fetch_json(f"{url}/v2/schema") == serialize.schema()
+    job_id = submit_job(url, DAXPY)
+    assert poll_job(url, job_id, poll_interval=0.01, timeout=120)["state"] == "done"
+    assert fetch_json(f"{url}/v2/jobs/{job_id}")["job_id"] == job_id
+    assert _request_json(f"{url}/v2/jobs/{job_id}", method="DELETE",
+                         timeout=10.0, retries=0, backoff=0.01)["job_id"] == job_id
+    assert "jobs" in fetch_json(f"{url}/v2/jobs?x=1")
+    assert post_json(f"{url}/v2/jobs", VADD, retries=0)["job_id"]
+    for call, code in (
+        (lambda: fetch_json(f"{url}/v2/jobs/job-424242"), "404"),
+        (lambda: fetch_json(f"{url}/v2/runs"), "503"),
+        (lambda: post_json(f"{url}/v2/workers/register", {"name": "w"},
+                           retries=0), "503"),
+    ):
+        with pytest.raises(RuntimeError, match=code):
+            call()
+
+
+class TestOneConnectionCarriesEveryRoute:
+    """Error answers must leave a kept connection ready for the next request.
+
+    Routes that answer without reading the body (a 503 on a worker route,
+    a 404 on an unknown path) once left it on the connection, and the next
+    request was parsed from the leftover bytes.
+    """
+
+    def test_error_paths_then_valid_requests_on_one_connection(self):
+        session = Session()
+        batch = BatchScheduler(session, max_queued_per_client=1, start=False)
+        try:
+            with _counting_server(batch, max_body_bytes=256) as (server, _):
+                connection = http.client.HTTPConnection(
+                    *server.server_address[:2], timeout=10)
+
+                def exchange(verb, path, body=None):
+                    connection.request(verb, path, body=body)
+                    response = connection.getresponse()
+                    return response.status, json.loads(response.read()), response
+
+                code, payload, _ = exchange("POST", "/v2/jobs", b'{"kind": "sche')
+                assert code == 400 and "not valid JSON" in payload["error"]
+                assert exchange("GET", "/v2/health")[1]["status"] == "ok"
+
+                code, payload, _ = exchange("POST", "/v2/jobs", b"[1, 2, 3]")
+                assert code == 400 and "must be a JSON object" in payload["error"]
+                assert exchange("GET", "/v2/jobs")[1] == {"jobs": []}
+
+                code, payload, _ = exchange("POST", "/v2/frobnicate", b'{"name": "a"}')
+                assert code == 404
+                assert exchange("GET", "/v2/schema")[1] == serialize.schema()
+
+                # A read body, then a route that answers without reading one.
+                code, job, _ = exchange("POST", "/v2/jobs", json.dumps(DAXPY).encode())
+                assert code == 202
+                code, payload, _ = exchange("POST", "/v2/workers/register",
+                                            b'{"name": "a"}')
+                assert code == 503 and "not a fleet coordinator" in payload["error"]
+                assert exchange("GET", "/v2/health/")[1]["n_jobs"] == 1
+
+                code, payload, _ = exchange("POST", "/v2/jobs", json.dumps(VADD).encode())
+                assert code == 429
+                status = exchange("GET", f"/v2/jobs/{job['job_id']}")[1]
+                assert status["state"] == "queued"
+
+                code, payload, _ = exchange("GET", "/v2/jobs/job-424242")
+                assert code == 404
+                assert exchange("GET", "/v2/jobs")[1]["jobs"][0]["job_id"] == job["job_id"]
+                assert server.n_accepted == 1
+
+                # A body over the limit is never read: the answer closes.
+                big = json.dumps({**DAXPY, "pad": "x" * 4096}).encode()
+                code, payload, response = exchange("POST", "/v2/jobs", big)
+                assert code == 400 and "256-byte limit" in payload["error"]
+                assert response.getheader("Connection") == "close"
+                assert exchange("GET", "/v2/health")[1]["status"] == "ok"
+                assert server.n_accepted == 2
+                connection.close()
+        finally:
+            batch.shutdown()
+            session.close()
+
+
+class _DroppingServer(threading.Thread):
+    """A keep-alive JSON stub that reads the request after ``drop_next``
+    is set and closes the connection without answering it."""
+
+    def __init__(self, payload: dict) -> None:
+        super().__init__(daemon=True)
+        self.payload = json.dumps(payload).encode()
+        self.drop_next = False
+        self.methods = []
+        self.n_connections = 0
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.url = "http://127.0.0.1:%d" % self.sock.getsockname()[1]
+        self.conn = None
+
+    def run(self) -> None:
+        while True:
+            try:
+                self.conn, _ = self.sock.accept()
+            except OSError:
+                return
+            self.n_connections += 1
+            with self.conn, self.conn.makefile("rb") as reader:
+                while self._answer(reader):
+                    pass
+
+    def _answer(self, reader) -> bool:
+        request_line = reader.readline()
+        if not request_line:
+            return False
+        length = 0
+        for line in iter(reader.readline, b"\r\n"):
+            name, _, value = line.decode().partition(":")
+            if name.lower() == "content-length":
+                length = int(value)
+        reader.read(length)
+        # Recorded before the answer or the close: a client that sees
+        # either may read the list at once.
+        self.methods.append(request_line.split()[0].decode())
+        if self.drop_next:
+            self.drop_next = False
+            return False
+        self.conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                          b"Content-Length: %d\r\n\r\n" % len(self.payload)
+                          + self.payload)
+        return True
+
+    def close(self) -> None:
+        self.sock.close()
+        if self.conn is not None:
+            try:
+                self.conn.shutdown(socket.SHUT_RDWR)
+            except OSError:  # pragma: no cover - already closed
+                pass
+        self.join(timeout=10)
+
+
+@pytest.fixture()
+def dropping_server():
+    servers = []
+
+    def make(payload: dict) -> _DroppingServer:
+        server = _DroppingServer(payload)
+        server.start()
+        servers.append(server)
+        return server
+
+    yield make
+    for server in servers:
+        server.close()
+
+
+class TestConnectionReuse:
+    def test_one_connection_per_client_thread(self, scheduler):
+        with _counting_server(scheduler) as (server, url):
+            _helper_calls(url)
+            _helper_calls(url)
+            assert server.n_accepted == 1
+        with _counting_server(scheduler) as (server, url):
+            errors = []
+
+            def calls():
+                try:
+                    _helper_calls(url)
+                except BaseException as exc:  # reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=calls) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert server.n_accepted == 2
+
+    def test_client_threads_under_contention_each_keep_one_connection(
+        self, scheduler
+    ):
+        import sys
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _counting_server(scheduler) as (server, url):
+                answers = []
+
+                def calls():
+                    for _ in range(25):
+                        answers.append(fetch_json(f"{url}/v2/health")["status"])
+
+                threads = [threading.Thread(target=calls) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+            assert answers == ["ok"] * 200
+            assert server.n_accepted == 8
+            assert not any(t.is_alive() for t in server.handler_threads)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_restarted_server_answers_the_next_calls(self):
+        session = Session()
+        old_batch = BatchScheduler(session)
+        try:
+            with _counting_server(old_batch) as (old, url):
+                submit_job(url, DAXPY)
+                submit_job(url, VADD)
+                assert fetch_json(f"{url}/v2/health")["n_jobs"] == 2
+            old_batch.shutdown()
+            # server_close() ended the kept connection and its thread; the
+            # old server must not answer for the new one below.
+            assert old.n_accepted == 1
+            assert not any(t.is_alive() for t in old.handler_threads)
+            new_batch = BatchScheduler(session)
+            try:
+                port = int(url.rsplit(":", 1)[1])
+                with _counting_server(new_batch, port=port) as (new, _):
+                    # First a call that is never resent: the client must see
+                    # the closed connection before it sends.
+                    job_id = submit_job(url, VADD)
+                    assert fetch_json(f"{url}/v2/health", retries=0)["n_jobs"] == 1
+                    assert new_batch.wait(job_id, timeout=120)["state"] == "done"
+                    assert new.n_accepted == 1
+            finally:
+                new_batch.shutdown()
+        finally:
+            old_batch.shutdown()
+            session.close()
+
+    def test_idempotent_request_is_resent_on_a_fresh_connection(
+        self, dropping_server
+    ):
+        stub = dropping_server({"ok": True})
+        assert fetch_json(stub.url) == {"ok": True}
+        stub.drop_next = True
+        # Closed unanswered on the reused connection: sent once more on a
+        # fresh one, outside the retry budget.
+        assert fetch_json(stub.url, retries=0) == {"ok": True}
+        assert stub.methods == ["GET", "GET", "GET"]
+        assert stub.n_connections == 2
+
+    def test_submit_job_is_never_sent_twice(self, dropping_server):
+        stub = dropping_server({"job_id": "job-1"})
+        assert fetch_json(stub.url) == {"job_id": "job-1"}
+        stub.drop_next = True
+        with pytest.raises(RuntimeError, match="after 1 attempt"):
+            submit_job(stub.url, DAXPY)
+        assert stub.methods == ["GET", "POST"]
+        assert submit_job(stub.url, DAXPY) == "job-1"
+        assert stub.methods == ["GET", "POST", "POST"]
+
+    def test_proxied_urls_stay_on_urllib(self, flaky_server, monkeypatch):
+        from repro.service.http import _via_urllib
+
+        proxy = flaky_server({"via": "proxy"}, n_failures=0)
+        closed = socket.create_server(("127.0.0.1", 0))
+        target = "http://127.0.0.1:%d/v2/health" % closed.getsockname()[1]
+        closed.close()  # nothing listens there: only the proxy answers
+        try:
+            with monkeypatch.context() as patch:
+                patch.setenv("http_proxy", proxy.url)
+                patch.delenv("no_proxy", raising=False)
+                patch.delenv("NO_PROXY", raising=False)
+                _via_urllib.cache_clear()
+                urllib.request.install_opener(None)  # re-read the environment
+                assert fetch_json(target, retries=0) == {"via": "proxy"}
+                patch.setenv("no_proxy", "127.0.0.1")
+                with pytest.raises(RuntimeError, match="refused"):
+                    fetch_json(target, retries=0)
+            assert proxy.n_served == 1
+        finally:
+            _via_urllib.cache_clear()
+            urllib.request.install_opener(None)
+
+
+# --------------------------------------------------------------------------- #
 # Shutdown / wait-timeout lifecycle (the BatchScheduler bugfixes)
 # --------------------------------------------------------------------------- #
 class TestSchedulerLifecycle:
@@ -572,6 +898,7 @@ class TestHTTPErrorPaths:
             assert code == 202
         finally:
             server.shutdown()
+            server.server_close()
 
     def test_runs_and_report_without_db_are_503(self, base_url):
         with pytest.raises(RuntimeError, match="503"):
@@ -596,6 +923,7 @@ class TestHTTPErrorPaths:
                                             "config": "S64"}})
         finally:
             server.shutdown()
+            server.server_close()
             batch.shutdown()
             session.close()
 
@@ -615,6 +943,7 @@ class TestFleetRouteErrorPaths:
         host, port = server.server_address[:2]
         yield f"http://{host}:{port}"
         server.shutdown()
+        server.server_close()
         batch.shutdown()
         session.close()
 
@@ -664,6 +993,7 @@ class TestRunTableRoutes:
                             poll_interval=0.05)["state"] == "done"
         yield url
         server.shutdown()
+        server.server_close()
         batch.shutdown()
         batch.db.close()
         session.close()
@@ -709,6 +1039,16 @@ class TestRunTableRoutes:
         lines = text.splitlines()
         assert lines[0].startswith("run_key,")
         assert len(lines) == 3
+
+    def test_report_format_is_html_or_csv_given_once(self, db_service):
+        with urllib.request.urlopen(
+            f"{db_service}/v2/report?format=html", timeout=10
+        ) as response:
+            assert response.headers["Content-Type"].startswith("text/html")
+        for query in ("format=csvx", "format=xml", "format=csv&format=html"):
+            with pytest.raises(RuntimeError,
+                               match=r"failed: 400 .*report parameter 'format'"):
+                fetch_json(f"{db_service}/v2/report?{query}")
 
     def test_health_exposes_scheduler_and_db_stats(self, db_service):
         health = fetch_json(f"{db_service}/v2/health")

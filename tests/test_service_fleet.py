@@ -396,6 +396,7 @@ class TestFleetEndToEnd:
                 if worker_thread.ident is not None:
                     worker_thread.join(timeout=10)
             server.shutdown()
+            server.server_close()
             batch.shutdown()
             session.close()
 
@@ -454,6 +455,7 @@ class TestFleetEndToEnd:
             assert "cli-worker" in names
         finally:
             server.shutdown()
+            server.server_close()
             batch.shutdown()
             session.close()
 
@@ -469,5 +471,6 @@ class TestFleetEndToEnd:
                 run_worker(f"http://{host}:{port}", max_leases=1)
         finally:
             server.shutdown()
+            server.server_close()
             batch.shutdown()
             session.close()
